@@ -31,6 +31,7 @@ from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ...nn.lstm import _lstm_forward
 from ...nn.tensor import is_grad_enabled
 from ...runtime.errors import GraphContractError
 from .spec import Dim, INTENTIONAL_ORIGINS, render_dims
@@ -40,6 +41,7 @@ __all__ = [
     "SymbolicTensor",
     "broadcast_dims",
     "sym_concat",
+    "sym_lstm_sequence",
     "sym_stack",
     "sym_where",
 ]
@@ -53,6 +55,7 @@ DIFFERENTIABLE_OPS = frozenset(
         "exp", "log", "tanh", "sigmoid", "relu", "leaky_relu", "softplus",
         "abs", "clip", "sum", "mean", "var",
         "reshape", "transpose", "getitem", "concat", "stack", "where",
+        "lstm_sequence",
     }
 )
 
@@ -560,3 +563,50 @@ def sym_where(session, condition: Any, a: Any, b: Any) -> SymbolicTensor:
     dims = broadcast_dims(dims, cond.dims, "where", session)
     shadow = np.where(cond.shadow, a.shadow, b.shadow)
     return _result(session, "where", dims, shadow, (a, b))
+
+
+def sym_lstm_sequence(session, x, h0, c0, w_ih, w_hh, bias, noise=None):
+    """Symbolic ``lstm_sequence``: ``[B, T, I]`` -> (``[B, T, H]``, ``c_T [B, H]``).
+
+    Checks the state against the batch and the three weights (and the noise
+    uniforms) against the gate layout, then runs the real kernel on the
+    shadows.  The hidden output carries lineage to every operand; ``c_T``
+    carries data lineage only, as it has no gradient in the engine.
+    """
+    op = "lstm_sequence"
+    parts = tuple(session.coerce(v) for v in (x, h0, c0, w_ih, w_hh, bias))
+    x, h0, c0, w_ih, w_hh, bias = parts
+    if x.ndim != 3 or h0.ndim != 2:
+        _fail(session, op, "expects x [B, T, I] and a state [B, H]",
+              expected="[B, T, I], [B, H]",
+              actual=f"{render_dims(x.dims)}, {render_dims(h0.dims)}")
+    batch, steps, features = x.dims
+    state = (batch, h0.dims[1])
+    for name, operand in (("h0", h0), ("c0", c0)):
+        if tuple(int(d) for d in operand.dims) != tuple(int(d) for d in state):
+            _fail(session, op, f"{name} must be [B, H] for x's batch",
+                  expected=render_dims(state), actual=render_dims(operand.dims))
+        state = broadcast_dims(state, operand.dims, op, session)
+    hidden = state[1]
+    gates = 4 * int(hidden)
+    layout = [
+        ("w_ih", w_ih.shape, (gates, int(features))),
+        ("w_hh", w_hh.shape, (gates, int(hidden))),
+        ("bias", bias.shape, (gates,)),
+    ]
+    if noise is not None:
+        layout.append(("noise", np.shape(noise[0]), (int(steps), 2, int(batch), int(hidden))))
+    for name, shape, expected in layout:
+        if tuple(int(d) for d in shape) != expected:
+            _fail(session, op,
+                  f"{name} does not fit an [i, f, g, o] LSTM with input "
+                  f"{features.render()} and hidden {hidden.render()}",
+                  expected=str(expected), actual=str(tuple(int(d) for d in shape)))
+    out, c_last, _ = _lstm_forward(
+        x.shadow, h0.shadow, c0.shadow, w_ih.shadow, w_hh.shadow, bias.shadow,
+        noise, record=False,
+    )
+    c_out = SymbolicTensor(
+        dims=state, shadow=c_last, data_roots=_union(parts, "data_roots"), session=session
+    )
+    return _result(session, op, (batch, steps, hidden), out, parts), c_out

@@ -6,8 +6,8 @@ verification run:
 * a *tensor hook* in :mod:`repro.nn.tensor` — ``Tensor(...)`` construction
   inside traced code lifts the data into a :class:`SymbolicTensor`, real
   tensor ops report their outputs for parameter-lineage bookkeeping, and the
-  ``concat``/``stack``/``where`` free functions dispatch to their symbolic
-  counterparts when any operand is symbolic;
+  ``concat``/``stack``/``where``/``lstm_sequence`` free functions dispatch
+  to their symbolic counterparts when any operand is symbolic;
 * a *call hook* in :mod:`repro.nn.module` — every ``module(...)`` call is
   routed through :meth:`TraceSession.call_module`, which records the dotted
   module path (for violation messages) and checks the module's
@@ -30,7 +30,7 @@ from ...nn.module import Module
 from ...nn.tensor import Tensor, is_grad_enabled
 from ...runtime.errors import GraphContractError
 from .spec import ANY, Contract, Dim, DimEnv, Spec, render_dims
-from .symbolic import SymbolicTensor, sym_concat, sym_stack, sym_where
+from .symbolic import SymbolicTensor, sym_concat, sym_lstm_sequence, sym_stack, sym_where
 
 __all__ = ["TraceSession"]
 
@@ -156,6 +156,13 @@ class TraceSession:
         if not any(isinstance(v, SymbolicTensor) for v in (condition, a, b)):
             return None
         return sym_where(self, condition, a, b)
+
+    def lstm_sequence(
+        self, x: Any, h0: Any, c0: Any, w_ih: Any, w_hh: Any, bias: Any, noise: Any
+    ) -> Optional[Tuple[SymbolicTensor, SymbolicTensor]]:
+        if not any(isinstance(v, SymbolicTensor) for v in (x, h0, c0, w_ih, w_hh, bias)):
+            return None
+        return sym_lstm_sequence(self, x, h0, c0, w_ih, w_hh, bias, noise)
 
     # ------------------------------------------------------------------
     # Module-call hook (installed into repro.nn.module)

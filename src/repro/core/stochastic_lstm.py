@@ -7,42 +7,25 @@ across hidden dimensions is preserved:
 ``h'_t = (h_t + a_h * n_h) * sum(h_t) / sum(h_t + a_h * n_h)``
 
 with ``n_h ~ U[0, mean(h_t)]`` (the noise amplitude adapts to the hidden
-state's own scale) and intensity ``a_h`` (paper default 2; ``a_c`` likewise
-for the memory).  Unlike the original SRNN's variational-inference training,
-GenDT trains these layers adversarially — the discriminator provides the
-extra signal that makes the stochastic hidden dynamics match the data's
-variability.
+state's own scale; the mean is signed, so a network whose hidden
+activations balance around zero receives little noise and training can
+modulate the injected stochasticity) and intensity ``a_h`` (paper default
+2; ``a_c`` likewise for the memory).  Unlike the original SRNN's
+variational-inference training, GenDT trains these layers adversarially —
+the discriminator provides the extra signal that makes the stochastic
+hidden dynamics match the data's variability.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .. import nn
 from ..analysis.graph.spec import Spec, contract
-from ..nn.tensor import Tensor, stack
-
-
-def _inject_noise(state: Tensor, intensity: float, rng: np.random.Generator) -> Tensor:
-    """Apply the paper's adaptive uniform noise + sum-preserving renorm.
-
-    The noise is U[0, h_hat] where h_hat is the *average value* of the
-    hidden state across dimensions (paper §4.3.4) — signed, so a network
-    whose hidden activations balance around zero receives little noise,
-    and training can modulate the injected stochasticity.
-    """
-    values = state.data
-    mean_value = values.mean(axis=-1, keepdims=True)
-    noise = rng.uniform(0.0, 1.0, size=values.shape) * mean_value
-    noisy = state + Tensor(intensity * noise)
-    # Renormalize so the per-row total is unchanged (paper §A.2).
-    row_sum = state.sum(axis=-1, keepdims=True)
-    noisy_sum = noisy.sum(axis=-1, keepdims=True)
-    denom_safe = np.where(np.abs(noisy_sum.data) < 1e-6, 1.0, noisy_sum.data)
-    scale = row_sum / Tensor(denom_safe)
-    return noisy * scale
+from ..nn.lstm import lstm_sequence
+from ..nn.tensor import Tensor
 
 
 @contract(
@@ -55,6 +38,8 @@ class StochasticLSTM(nn.Module):
 
     When ``stochastic`` is False (or the intensity is zero) this reduces to
     a plain LSTM — that is exactly the "No SRNN" ablation of paper Table 12.
+    The weights live in ``cell`` (an :class:`~repro.nn.LSTMCell`); the
+    sequence runs as one :func:`~repro.nn.lstm.lstm_sequence` op.
     """
 
     def __init__(
@@ -82,20 +67,22 @@ class StochasticLSTM(nn.Module):
     ) -> Tuple[Tensor, Tuple[Tensor, Tensor]]:
         """Run over a sequence ``[B, T, input_size]`` -> ``[B, T, H]``.
 
-        ``stochastic`` overrides the module default (used to disable noise
-        for deterministic evaluation).
+        Returns ``(hidden, (h_T, c_T))``: ``h_T`` is ``hidden[:, -1]`` and
+        carries gradient, ``c_T`` does not.  ``stochastic`` overrides the
+        module default (used to disable noise for deterministic evaluation).
+        With noise on, the whole sequence's uniforms are drawn in one call;
+        the draw order (per step: h, then c) matches one draw per state per
+        step.
         """
         use_noise = self.stochastic if stochastic is None else stochastic
-        batch = x.shape[0]
-        if state is None:
-            h, c = self.cell.zero_state(batch)
-        else:
-            h, c = state
-        outputs: List[Tensor] = []
-        for t in range(x.shape[1]):
-            if use_noise:
-                h = _inject_noise(h, self.intensity_h, self.rng)
-                c = _inject_noise(c, self.intensity_c, self.rng)
-            h, c = self.cell(x[:, t, :], (h, c))
-            outputs.append(h)
-        return stack(outputs, axis=1), (h, c)
+        batch, steps = x.shape[0], x.shape[1]
+        h0, c0 = self.cell.zero_state(batch) if state is None else state
+        noise = None
+        if use_noise:
+            u = self.rng.uniform(0.0, 1.0, size=(steps, 2, batch, self.hidden_size))
+            noise = (u, self.intensity_h, self.intensity_c)
+        cell = self.cell
+        hidden, c_last = lstm_sequence(
+            x, h0, c0, cell.weight_ih, cell.weight_hh, cell.bias, noise
+        )
+        return hidden, (hidden[:, -1], c_last)

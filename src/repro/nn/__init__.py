@@ -10,7 +10,7 @@ from .tensor import Tensor, as_tensor, concat, is_grad_enabled, no_grad, ones, s
 from .anomaly import NumericalAnomalyError, detect_anomaly, is_anomaly_enabled
 from .module import Module, Parameter
 from .layers import MLP, Dropout, LeakyReLU, Linear, Sequential, Sigmoid, Tanh
-from .lstm import LSTM, LSTMCell, LSTMRegressor
+from .lstm import LSTM, LSTMCell, LSTMRegressor, lstm_sequence
 from .optim import SGD, Adam, Optimizer
 from .losses import (
     bce_with_logits,
@@ -48,6 +48,7 @@ __all__ = [
     "LSTM",
     "LSTMCell",
     "LSTMRegressor",
+    "lstm_sequence",
     "Optimizer",
     "SGD",
     "Adam",

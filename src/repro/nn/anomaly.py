@@ -6,13 +6,15 @@ if at all — as a non-finite loss many steps later, by which point the
 originating op is long gone.  This module is the reproduction's analog of
 ``torch.autograd.set_detect_anomaly``: an **opt-in** mode that
 
-* records, on every tensor an op creates, the op's name and the
-  ``file:line`` of the code that invoked it;
+* records, on every tensor an op creates, the op's name, the
+  ``file:line`` of the code that invoked it, and the modules whose
+  ``forward`` was running;
 * checks every forward output for NaN/Inf as it is created;
 * checks every gradient a backward function writes, right after it runs;
 
 and raises :class:`~repro.runtime.errors.NumericalAnomalyError` naming the
-offending op and call site the moment the first non-finite value appears.
+offending op, call site and module path the moment the first non-finite
+value appears.
 
 The mode is designed to be zero-cost when off: the tensor engine guards
 every hook behind a single attribute read (``STATE.enabled``), records no
@@ -31,7 +33,7 @@ or from the CLI: ``python -m repro train --detect-anomaly ...``.
 from __future__ import annotations
 
 import sys
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -43,10 +45,13 @@ __all__ = ["detect_anomaly", "is_anomaly_enabled", "NumericalAnomalyError"]
 class _AnomalyState:
     """Process-wide switch; a plain attribute read keeps the off-path cheap."""
 
-    __slots__ = ("enabled",)
+    __slots__ = ("enabled", "modules")
 
     def __init__(self) -> None:
         self.enabled = False
+        #: Modules whose ``forward`` is running, outermost first; kept by
+        #: ``Module.__call__`` only while the mode is on.
+        self.modules: list = []
 
 
 STATE = _AnomalyState()
@@ -89,19 +94,47 @@ def _creation_context() -> Tuple[str, str]:
     return op, site
 
 
+def _module_path(modules: tuple) -> Optional[str]:
+    """Dotted attribute path of nested modules, e.g. ``GnnNodeNetwork.lstm``.
+
+    Starts at the outermost module's class name; a module that is not a
+    registered child of the one calling it is named by its class.
+    """
+    if not modules:
+        return None
+    parts = [type(modules[0]).__name__]
+    for parent, child in zip(modules, modules[1:]):
+        name = next(
+            (key for key, value in parent._modules.items() if value is child),
+            type(child).__name__,
+        )
+        parts.append(name)
+    return ".".join(parts)
+
+
+def _error(message: str, op: str, site: str, phase: str, modules: tuple):
+    return NumericalAnomalyError(
+        message,
+        op=op,
+        site=site,
+        phase=phase,
+        module_chain=[type(m).__name__ for m in reversed(modules)],
+        module_path=_module_path(modules),
+    )
+
+
 def note_forward(tensor, data: np.ndarray) -> None:
     """Record creation context on ``tensor`` and check the forward output.
 
     Called by ``Tensor._make`` only while the mode is enabled.
     """
     op, site = _creation_context()
-    tensor._anomaly_ctx = (op, site)
+    modules = tuple(STATE.modules)
+    tensor._anomaly_ctx = (op, site, modules)
     if not np.isfinite(data).all():
-        raise NumericalAnomalyError(
+        raise _error(
             f"forward op {op!r} produced non-finite values (called at {site})",
-            op=op,
-            site=site,
-            phase="forward",
+            op, site, "forward", modules,
         )
 
 
@@ -110,24 +143,18 @@ def check_backward(node) -> None:
 
     Called by ``Tensor.backward`` right after ``node._backward`` ran, while
     ``node._parents`` is still intact; a non-finite gradient on any parent
-    is attributed to ``node``'s creating op.
+    is attributed to ``node``'s creating op and the modules it ran in.
     """
     for parent in node._parents:
         grad = parent.grad
         if grad is not None and not np.isfinite(grad).all():
-            op, site = getattr(node, "_anomaly_ctx", None) or (
+            op, site, modules = getattr(node, "_anomaly_ctx", None) or (
                 node.name or "<unrecorded>",
                 "<tensor created outside detect_anomaly>",
+                (),
             )
-            raise NumericalAnomalyError(
+            raise _error(
                 f"backward of op {op!r} (called at {site}) produced a "
                 "non-finite gradient",
-                op=op,
-                site=site,
-                phase="backward",
+                op, site, "backward", modules,
             )
-
-
-def annotate_module(exc: NumericalAnomalyError, module_name: str) -> None:
-    """Append ``module_name`` to the error's module chain (innermost first)."""
-    exc.module_chain.append(module_name)

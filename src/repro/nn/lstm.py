@@ -2,8 +2,11 @@
 
 Provides the plain :class:`LSTMCell`/:class:`LSTM` used by the discriminator
 and the LSTM-GNN baseline; GenDT's stochastic variant (SRNN layers, paper
-§4.3.4 and §A.2) lives in :mod:`repro.core.stochastic_lstm` and builds on
-:class:`LSTMCell`.
+§4.3.4 and §A.2) lives in :mod:`repro.core.stochastic_lstm`.
+
+Every sequence module runs on :func:`lstm_sequence`: one layer over the
+whole sequence as a single tape node, with a plain numpy loop over time in
+the forward pass and hand-written backpropagation through time.
 """
 
 from __future__ import annotations
@@ -14,8 +17,165 @@ import numpy as np
 
 from ..analysis.graph.spec import ANY, Spec, contract
 from . import init
+from . import tensor as _tensor
 from .module import Module, Parameter
-from .tensor import Tensor, concat, stack
+from .tensor import Tensor, is_grad_enabled
+
+#: SRNN noise for :func:`lstm_sequence`: uniforms ``u`` of shape
+#: ``[T, 2, B, H]`` (h then c at each step) and the intensities ``a_h, a_c``.
+Noise = Tuple[np.ndarray, float, float]
+
+
+def _lstm_forward(x, h0, c0, w_ih, w_hh, bias, noise: Optional[Noise], record: bool):
+    """Numpy forward of one LSTM layer; returns ``(hidden, c_T, cache)``.
+
+    ``cache`` holds the per-step activations BPTT needs (``None`` unless
+    ``record``).  Each value goes through the same floating-point operations
+    as the per-step composition of :meth:`LSTMCell.forward` and the SRNN
+    renorm, so the outputs are bit-identical to it.
+    """
+    batch, steps, _ = x.shape
+    hs = h0.shape[-1]
+    slots = steps if record else 1
+    states = np.empty((slots, 2, batch, hs))  # (h, c) entering each step's cell
+    acts = np.empty((slots, batch, 4 * hs))  # sigmoid(i, f, o) and tanh(g)
+    tanh_c = np.empty((slots, batch, hs))
+    hidden = np.empty((batch, steps, hs))
+    if noise is not None:
+        u, a_h, a_c = noise
+        intensity = np.array([a_h, a_c]).reshape(2, 1, 1)
+        noisy = np.empty((slots, 2, batch, hs))
+        scale = np.empty((slots, 2, batch, 1))
+        den = np.empty((slots, 2, batch, 1))
+    w_ih_t, w_hh_t = w_ih.T, w_hh.T
+    i_, f_, g_, o_ = (slice(k * hs, (k + 1) * hs) for k in range(4))
+    state = np.stack([h0, c0])
+    for t in range(steps):
+        k = t if record else 0
+        if noise is not None:
+            # Adaptive noise U[0, mean(s)] and sum-preserving renorm; the
+            # mean (numpy's is exactly sum / H) and the guarded denominator
+            # are constants for BPTT.
+            row_sum = state.sum(axis=-1, keepdims=True)
+            np.add(state, intensity * (u[t] * (row_sum / hs)), out=noisy[k])
+            total = noisy[k].sum(axis=-1, keepdims=True)
+            den[k] = np.where(np.abs(total) < 1e-6, 1.0, total)
+            np.divide(row_sum, den[k], out=scale[k])
+            state = np.multiply(noisy[k], scale[k], out=states[k])
+        else:
+            states[k] = state
+        h_in, c_in = states[k]
+        gates = x[:, t] @ w_ih_t
+        gates += h_in @ w_hh_t
+        gates += bias
+        act = acts[k]
+        np.maximum(gates, -60.0, out=act)
+        np.minimum(act, 60.0, out=act)
+        np.negative(act, out=act)
+        # exp and tanh write fresh arrays, as the per-step ops did, so numpy
+        # picks the same kernels for them.
+        act[...] = np.exp(act)
+        act += 1.0
+        np.divide(1.0, act, out=act)
+        act[:, g_] = np.tanh(gates[:, g_])
+        state = np.empty((2, batch, hs))
+        h, c = state
+        np.multiply(act[:, f_], c_in, out=c)
+        c += act[:, i_] * act[:, g_]
+        tanh_c[k] = np.tanh(c)
+        np.multiply(act[:, o_], tanh_c[k], out=h)
+        hidden[:, t] = h
+    if not record:
+        return hidden, state[1], None
+    cache = (states, acts, tanh_c, (noisy, scale, den) if noise is not None else None)
+    return hidden, state[1], cache
+
+
+def lstm_sequence(
+    x: Tensor,
+    h0: Tensor,
+    c0: Tensor,
+    w_ih: Tensor,
+    w_hh: Tensor,
+    bias: Tensor,
+    noise: Optional[Noise] = None,
+) -> Tuple[Tensor, Tensor]:
+    """Run one LSTM layer over a whole sequence as a single tape node.
+
+    ``x`` is ``[B, T, I]`` and ``h0``/``c0`` are ``[B, H]``; the weights use
+    :class:`LSTMCell`'s fused ``[input, forget, cell, output]`` gate layout.
+    Returns the hidden states ``[B, T, H]``, differentiable with respect to
+    all six inputs, and the final memory ``c_T`` ``[B, H]`` without gradient.
+
+    ``noise=(u, a_h, a_c)`` perturbs the state before every step, h and c
+    stacked (see :mod:`repro.core.stochastic_lstm`):
+    ``s' = (s + a * u_t * mean(s)) * sum(s) / sum(s + a * u_t * mean(s))``.
+    The backward pass treats ``mean(s)`` and the denominator as constants,
+    so ``dL/ds = g * scale + sum(g * noisy) / den``.
+    """
+    hook = _tensor._symbolic_hook
+    if hook is not None:
+        symbolic = hook.lstm_sequence(x, h0, c0, w_ih, w_hh, bias, noise)
+        if symbolic is not None:
+            return symbolic
+    inputs = tuple(Tensor._coerce(t) for t in (x, h0, c0, w_ih, w_hh, bias))
+    x, h0, c0, w_ih, w_hh, bias = inputs
+    record = is_grad_enabled() and any(t.requires_grad for t in inputs)
+    hidden, c_last, cache = _lstm_forward(
+        x.data, h0.data, c0.data, w_ih.data, w_hh.data, bias.data, noise, record
+    )
+
+    def backward(grad: np.ndarray) -> None:
+        states, acts, tanh_c, noise_cache = cache
+        batch, steps, hs = grad.shape
+        i_, f_, g_, o_ = (slice(k * hs, (k + 1) * hs) for k in range(4))
+        # Everything that does not depend on the recurrence, all steps at
+        # once: d(gate pre-activation) = coef * [dc, dc, dc, dh] for the
+        # gates [i, f, g, o], and dc_t picks up dh_t * o_t * (1 - tanh(c_t)^2).
+        coef = 1.0 - acts
+        coef *= acts
+        np.multiply(acts[..., g_], acts[..., g_], out=coef[..., g_])
+        np.subtract(1.0, coef[..., g_], out=coef[..., g_])
+        coef[..., i_] *= acts[..., g_]
+        coef[..., f_] *= states[:, 1]
+        coef[..., g_] *= acts[..., i_]
+        coef[..., o_] *= tanh_c
+        dc_from_h = 1.0 - tanh_c * tanh_c
+        dc_from_h *= acts[..., o_]
+        if noise_cache is not None:
+            noisy, scale, den = noise_cache
+            noisy_over_den = noisy / den
+        dgates = np.empty_like(acts)
+        ds = np.empty((2, batch, hs))
+        dh = np.zeros((batch, hs))
+        dc = np.zeros((batch, hs))
+        for t in reversed(range(steps)):
+            dh = dh + grad[:, t]
+            dc = dc + dh * dc_from_h[t]
+            np.multiply(coef[t], np.concatenate([dc, dc, dc, dh], axis=1), out=dgates[t])
+            np.matmul(dgates[t], w_hh.data, out=ds[0])
+            np.multiply(dc, acts[t, :, f_], out=ds[1])
+            if noise_cache is None:
+                dh, dc = ds
+            else:
+                weighted = (ds * noisy_over_den[t]).sum(axis=-1, keepdims=True)
+                dh, dc = ds * scale[t] + weighted
+        flat = dgates.reshape(steps * batch, 4 * hs)
+        if w_ih.requires_grad:
+            x_flat = x.data.transpose(1, 0, 2).reshape(steps * batch, -1)
+            w_ih._accumulate(flat.T @ x_flat)
+        if w_hh.requires_grad:
+            w_hh._accumulate(flat.T @ states[:, 0].reshape(steps * batch, hs))
+        if bias.requires_grad:
+            bias._accumulate(flat.sum(axis=0))
+        if x.requires_grad:
+            x._accumulate((flat @ w_ih.data).reshape(steps, batch, -1).transpose(1, 0, 2))
+        if h0.requires_grad:
+            h0._accumulate(dh)
+        if c0.requires_grad:
+            c0._accumulate(dc)
+
+    return x._make(hidden, inputs, backward), Tensor(c_last)
 
 
 @contract(
@@ -31,7 +191,8 @@ class LSTMCell(Module):
 
     Gate layout along the output dimension is ``[input, forget, cell, output]``.
     The forget-gate bias is initialized to 1, the standard trick to ease
-    gradient flow early in training.
+    gradient flow early in training.  The sequence modules hold their
+    weights in cells but run them through :func:`lstm_sequence`.
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator) -> None:
@@ -77,8 +238,9 @@ class LSTM(Module):
     """Unidirectional (optionally stacked) LSTM over a full sequence.
 
     Input is ``[B, T, input_size]``; output is ``[B, T, hidden_size]`` (the
-    hidden states of the top layer at every step) plus the final state of
-    each layer.
+    hidden states of the top layer at every step) plus the final state
+    ``(h_T, c_T)`` of each layer.  ``h_T`` is that layer's
+    ``hidden[:, -1]`` and carries gradient; ``c_T`` does not.
     """
 
     def __init__(
@@ -103,20 +265,13 @@ class LSTM(Module):
         x: Tensor,
         state: Optional[List[Tuple[Tensor, Tensor]]] = None,
     ) -> Tuple[Tensor, List[Tuple[Tensor, Tensor]]]:
-        batch, steps, _ = x.shape
         if state is None:
-            state = [cell.zero_state(batch) for cell in self._cells]
-        outputs: List[Tensor] = []
-        for t in range(steps):
-            inp = x[:, t, :]
-            new_state: List[Tuple[Tensor, Tensor]] = []
-            for layer, cell in enumerate(self._cells):
-                h, c = cell(inp, state[layer])
-                new_state.append((h, c))
-                inp = h
-            state = new_state
-            outputs.append(inp)
-        return stack(outputs, axis=1), state
+            state = [cell.zero_state(x.shape[0]) for cell in self._cells]
+        final: List[Tuple[Tensor, Tensor]] = []
+        for cell, (h0, c0) in zip(self._cells, state):
+            x, c_last = lstm_sequence(x, h0, c0, cell.weight_ih, cell.weight_hh, cell.bias)
+            final.append((x[:, -1], c_last))
+        return x, final
 
 
 @contract(

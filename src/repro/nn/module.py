@@ -13,7 +13,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .anomaly import STATE as _anomaly
-from .anomaly import NumericalAnomalyError, annotate_module
 from .tensor import Tensor
 
 
@@ -131,10 +130,10 @@ class Module:
             return _call_hook.call_module(self, args, kwargs)
         if not _anomaly.enabled:
             return self.forward(*args, **kwargs)
+        # Ops record the running modules, so an anomaly in the forward or
+        # the backward pass reports *where in the model* it surfaced.
+        _anomaly.modules.append(self)
         try:
             return self.forward(*args, **kwargs)
-        except NumericalAnomalyError as exc:
-            # Build the innermost-first module path as the stack unwinds, so
-            # the error reports *where in the model* the anomaly surfaced.
-            annotate_module(exc, type(self).__name__)
-            raise
+        finally:
+            _anomaly.modules.pop()

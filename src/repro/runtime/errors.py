@@ -10,7 +10,7 @@ family without swallowing programming errors.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 
 class GenDTRuntimeError(RuntimeError):
@@ -155,8 +155,10 @@ class NumericalAnomalyError(GenDTRuntimeError):
     forward output or a backward gradient contains non-finite values.
     ``op`` is the tensor operation that produced (forward) or backpropagated
     through (backward) the offending value, ``site`` is the ``file:line`` of
-    the code that invoked it, and ``module_chain`` lists the enclosing
-    :class:`~repro.nn.Module` classes, outermost last.
+    the code that invoked it, ``module_chain`` lists the
+    :class:`~repro.nn.Module` classes whose forward created that op,
+    outermost last, and ``module_path`` names the same modules as a dotted
+    attribute path (e.g. ``GnnNodeNetwork.lstm``).
     """
 
     def __init__(
@@ -165,15 +167,18 @@ class NumericalAnomalyError(GenDTRuntimeError):
         op: Optional[str] = None,
         site: Optional[str] = None,
         phase: str = "forward",
+        module_chain: Sequence[str] = (),
+        module_path: Optional[str] = None,
     ) -> None:
         super().__init__(message)
         self.op = op
         self.site = site
         self.phase = phase
-        self.module_chain: list = []
+        self.module_chain = list(module_chain)
+        self.module_path = module_path
 
     def __str__(self) -> str:
         base = super().__str__()
-        if self.module_chain:
-            return f"{base} [module path: {' -> '.join(self.module_chain)}]"
+        if self.module_path:
+            return f"{base} [module path: {self.module_path}]"
         return base

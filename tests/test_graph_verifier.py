@@ -90,6 +90,39 @@ def test_detached_head_reports_severed_path_and_no_grad_output():
     assert severed.get("stem.bias") == "detach"
 
 
+def test_fused_lstm_traced_by_its_symbolic_rule(monkeypatch):
+    from repro.analysis.graph import trace
+
+    calls = []
+    original = trace.sym_lstm_sequence
+
+    def counting(session, *operands):
+        calls.append(session.current_path())
+        return original(session, *operands)
+
+    def no_per_step_fallback(*args, **kwargs):
+        raise AssertionError("LSTMCell.forward ran inside a sequence trace")
+
+    monkeypatch.setattr(trace, "sym_lstm_sequence", counting)
+    monkeypatch.setattr(nn.LSTMCell, "forward", no_per_step_fallback)
+    report = verify(SHIPPED["lstm"].build(0))
+    assert report.ok, report.format()
+    assert calls == ["LSTM", "LSTM"]  # one op per stacked layer
+    assert report.bound_dims["T"] == 7
+
+
+def test_fused_lstm_rejects_weights_off_the_gate_layout():
+    module = SHIPPED["stochastic_lstm"].build(0)
+    hidden = module.hidden_size
+    # A recurrent weight sized for a different hidden width.
+    module.cell.weight_hh = nn.Parameter(np.zeros((4 * hidden, hidden + 1)))
+    report = verify(module)
+    assert not report.ok
+    violation = report.violations[0]
+    assert violation.op == "lstm_sequence"
+    assert "StochasticLSTM" in str(violation) and "w_hh" in str(violation)
+
+
 def test_raise_on_error_raises_graph_contract_error():
     module = DEFECTS["resgen_miswindowed"].build(0)
     with pytest.raises(GraphContractError) as excinfo:

@@ -1,6 +1,7 @@
 """Numerical gradient checks through recurrent structures.
 
-The elementwise ops are grad-checked in test_nn_tensor; these tests verify
+The elementwise ops and the fused ``lstm_sequence`` op (with and without
+SRNN noise) are grad-checked in test_tensor_gradcheck; these tests verify
 the *composed* recurrent graphs (LSTM cell, stochastic LSTM with noise off,
 masked mean-pooling) against finite differences — the structures GenDT's
 training actually differentiates through.

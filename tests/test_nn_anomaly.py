@@ -103,6 +103,58 @@ class TestModuleAnnotation:
         assert "module path" in str(err)
 
 
+class TestLstmSequenceAnomaly:
+    """NaN in an LSTM weight: the fused op and its module path are named."""
+
+    @staticmethod
+    def _node_net():
+        from repro.core import small_config
+        from repro.core.networks import GnnNodeNetwork
+
+        return GnnNodeNetwork(3, small_config(hidden_size=4), np.random.default_rng(0))
+
+    def test_forward_nan_weight_names_op_and_module_path(self):
+        node_net = self._node_net()
+        node_net.lstm.cell.weight_ih.data[0, 0] = np.nan
+        with detect_anomaly():
+            with pytest.raises(NumericalAnomalyError) as excinfo:
+                node_net(Tensor(np.ones((2, 5, 3))))
+        err = excinfo.value
+        assert (err.op, err.phase) == ("lstm_sequence", "forward")
+        assert err.module_path == "GnnNodeNetwork.lstm"
+        assert err.module_chain == ["StochasticLSTM", "GnnNodeNetwork"]
+        assert "GnnNodeNetwork.lstm" in str(err)
+
+    def test_backward_nan_weight_names_op_and_module_path(self):
+        node_net = self._node_net()
+        with detect_anomaly():
+            hidden = node_net(Tensor(np.ones((2, 5, 3))))
+            # Poisoned between forward and backward: the forward was finite,
+            # so only the op's BPTT can surface the NaN.
+            node_net.lstm.cell.weight_hh.data[0, 0] = np.nan
+            with pytest.raises(NumericalAnomalyError) as excinfo:
+                hidden.sum().backward()
+        err = excinfo.value
+        assert (err.op, err.phase) == ("lstm_sequence", "backward")
+        assert err.module_path == "GnnNodeNetwork.lstm"
+
+    def test_fit_names_the_generator_lstm(self, tiny_dataset_a, tiny_split):
+        from repro.core import GenDT, small_config
+
+        config = small_config(
+            epochs=1, hidden_size=8, batch_len=25, train_step=5,
+            minibatch_windows=8,
+        )
+        model = GenDT(tiny_dataset_a.region, kpis=["rsrp"], config=config, seed=3)
+        model.fit(tiny_split.train)
+        model.generator.node_net.lstm.cell.weight_hh.data[...] = np.nan
+        with pytest.raises(NumericalAnomalyError) as excinfo:
+            model.continue_fit(tiny_split.train, epochs=1, detect_anomaly=True)
+        err = excinfo.value
+        assert err.op == "lstm_sequence"
+        assert err.module_path == "GnnNodeNetwork.lstm"
+
+
 class TestOffMode:
     def test_no_raise_when_disabled(self):
         x = Tensor([-1.0], requires_grad=True)

@@ -12,12 +12,19 @@ things:
 
 Inputs are chosen away from kinks (relu/abs at 0, clip at its bounds) so
 the central difference is valid.
+
+``lstm_sequence`` with SRNN noise is checked against a plain-numpy
+reference with ``mean(s)`` and the renorm denominator frozen at the
+unperturbed inputs: the op's backward (like the per-step tape before it)
+treats both as constants, so that frozen function is the one it
+differentiates exactly.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis.graph.symbolic import DIFFERENTIABLE_OPS, NON_DIFFERENTIABLE_OPS
+from repro.nn.lstm import lstm_sequence
 from repro.nn.tensor import Tensor, concat, no_grad, stack, where
 
 EPS = 1e-6
@@ -26,6 +33,10 @@ RTOL = 1e-4
 
 # Fixed boolean mask for the `where` case (shape (2, 3)).
 _WHERE_COND = np.array([[True, False, True], [False, True, False]])
+
+# Fixed SRNN uniforms ([T, 2, B, H]) and intensities for the noisy
+# `lstm_sequence` variant.
+_LSTM_NOISE = (np.random.default_rng(35).uniform(size=(3, 2, 2, 3)), 2.0, 1.5)
 
 
 def _weights(shape):
@@ -50,9 +61,72 @@ def _positive(shape, seed, lo=0.3, hi=2.0):
 
 
 class Case:
-    def __init__(self, make_inputs, fn):
+    def __init__(self, make_inputs, fn, numeric_fn=None):
         self.make_inputs = make_inputs
         self.fn = fn
+        # The function the finite difference runs, if not ``fn`` itself.
+        self.numeric_fn = numeric_fn or fn
+
+
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _srnn_forward(x, h0, c0, w_ih, w_hh, bias, frozen=None):
+    """Plain-numpy SRNN layer under ``_LSTM_NOISE``: (hidden, constants).
+
+    ``constants`` are each step's ``mean(s)`` and renorm denominator;
+    passing them back as ``frozen`` holds them fixed.
+    """
+    u, a_h, a_c = _LSTM_NOISE
+    intensity = np.array([a_h, a_c]).reshape(2, 1, 1)
+    hs = h0.shape[-1]
+    state = np.stack([h0, c0])
+    hidden, constants = [], []
+    for t in range(x.shape[1]):
+        if frozen is None:
+            mean = state.mean(axis=-1, keepdims=True)
+            den = (state + intensity * u[t] * mean).sum(axis=-1, keepdims=True)
+        else:
+            mean, den = frozen[t]
+        constants.append((mean, den))
+        state = (state + intensity * u[t] * mean) * state.sum(axis=-1, keepdims=True) / den
+        gates = x[:, t] @ w_ih.T + state[0] @ w_hh.T + bias
+        i, f, g, o = (gates[:, k * hs : (k + 1) * hs] for k in range(4))
+        c = _sigmoid(f) * state[1] + _sigmoid(i) * np.tanh(g)
+        h = _sigmoid(o) * np.tanh(c)
+        hidden.append(h)
+        state = np.stack([h, c])
+    return np.stack(hidden, axis=1), constants
+
+
+def _lstm_inputs():
+    # x [B=2, T=3, I=2], h0/c0 [B, H=3], w_ih [4H, I], w_hh [4H, H], bias
+    # [4H].  Positive initial states keep the renorm denominators far from
+    # the guard.
+    return [
+        _smooth((2, 3, 2), 36),
+        _positive((2, 3), 37),
+        _positive((2, 3), 38),
+        _smooth((12, 2), 39, -0.8, 0.8),
+        _smooth((12, 3), 40, -0.8, 0.8),
+        _smooth((12,), 41, -0.5, 0.5),
+    ]
+
+
+def _lstm_both(*args):
+    """Plain and SRNN-noise hidden states side by side."""
+    plain, _ = lstm_sequence(*args)
+    noisy, _ = lstm_sequence(*args, noise=_LSTM_NOISE)
+    return concat([plain, noisy], axis=1)
+
+
+def _lstm_both_frozen(*args):
+    """``_lstm_both`` with the noise path's constants frozen at the inputs."""
+    _, frozen = _srnn_forward(*_lstm_inputs())
+    plain, _ = lstm_sequence(*args)
+    noisy, _ = _srnn_forward(*(a.data for a in args), frozen=frozen)
+    return concat([plain, Tensor(noisy)], axis=1)
 
 
 CASES = {
@@ -119,6 +193,7 @@ CASES = {
         lambda: [_smooth((2, 3), 33), _smooth((2, 3), 34)],
         lambda a, b: where(_WHERE_COND, a, b),
     ),
+    "lstm_sequence": Case(_lstm_inputs, _lstm_both, numeric_fn=_lstm_both_frozen),
 }
 
 
@@ -160,7 +235,7 @@ def test_backward_matches_finite_difference(op_name):
     (out * Tensor(weights)).sum().backward()
     for i, (tensor, arr) in enumerate(zip(tensors, arrays)):
         assert tensor.grad is not None, f"{op_name}: arg {i} got no gradient"
-        numeric = _numeric_grad(case.fn, arrays, i, weights)
+        numeric = _numeric_grad(case.numeric_fn, arrays, i, weights)
         np.testing.assert_allclose(
             tensor.grad,
             numeric,

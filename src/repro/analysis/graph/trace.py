@@ -1,17 +1,17 @@
 """Trace sessions: run a real ``Module.forward`` over symbolic tensors.
 
-A :class:`TraceSession` installs two hooks for the duration of one
-verification run:
+A :class:`TraceSession` is the engine's :class:`~repro.nn.tensor.Observer`
+for the duration of one verification run:
 
-* a *tensor hook* in :mod:`repro.nn.tensor` — ``Tensor(...)`` construction
-  inside traced code lifts the data into a :class:`SymbolicTensor`, real
-  tensor ops report their outputs for parameter-lineage bookkeeping, and the
-  ``concat``/``stack``/``where``/``lstm_sequence`` free functions dispatch
-  to their symbolic counterparts when any operand is symbolic;
-* a *call hook* in :mod:`repro.nn.module` — every ``module(...)`` call is
-  routed through :meth:`TraceSession.call_module`, which records the dotted
-  module path (for violation messages) and checks the module's
-  ``@contract`` declaration against the actual symbolic inputs/outputs.
+* ``Tensor(...)`` construction inside traced code lifts the data into a
+  :class:`SymbolicTensor`, real tensor ops report their outputs for
+  parameter-lineage bookkeeping, and the ``concat``/``stack``/``where``/
+  ``lstm_sequence`` free functions dispatch to their symbolic counterparts
+  when any operand is symbolic;
+* every ``module(...)`` call is routed through
+  :meth:`TraceSession.call_module`, which records the dotted module path
+  (for violation messages) and checks the module's ``@contract``
+  declaration against the actual symbolic inputs/outputs.
 
 No real compute happens beyond tiny probe-sized shadow arrays; the shipped
 forwards run unmodified.
@@ -24,12 +24,12 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...nn import module as module_mod
 from ...nn import tensor as tensor_mod
 from ...nn.module import Module
-from ...nn.tensor import Tensor, is_grad_enabled
+from ...nn.tensor import Observer, Tensor, is_grad_enabled
 from ...runtime.errors import GraphContractError
 from .spec import ANY, Contract, Dim, DimEnv, Spec, render_dims
+# The sym_* rules are reached by name from TraceSession.dispatch.
 from .symbolic import SymbolicTensor, sym_concat, sym_lstm_sequence, sym_stack, sym_where
 
 __all__ = ["TraceSession"]
@@ -37,16 +37,14 @@ __all__ = ["TraceSession"]
 _EMPTY = frozenset()
 
 
-class TraceSession:
-    """One symbolic trace of a module tree: hooks, paths, lineage, checks."""
+class TraceSession(Observer):
+    """One symbolic trace of a module tree: observer, paths, lineage, checks."""
 
     def __init__(self, root: Module, env: Optional[DimEnv] = None, audit: bool = True) -> None:
         self.root = root
         self.env = env if env is not None else DimEnv()
         self.audit = audit
         # Dotted-path stack of modules currently executing (innermost last).
-        # Named path_stack, not stack: the stack() hook method must stay
-        # callable on the instance.
         self.path_stack: List[str] = [type(root).__name__]
         self.paths: Dict[int, str] = {}
         self._name_modules(root, type(root).__name__)
@@ -109,7 +107,7 @@ class TraceSession:
         )
 
     # ------------------------------------------------------------------
-    # Tensor hooks (installed into repro.nn.tensor)
+    # Observer protocol (see repro.nn.tensor.Observer)
     # ------------------------------------------------------------------
     def lift_new(self, data: Any, requires_grad: bool) -> SymbolicTensor:
         """Intercept ``Tensor(data)`` construction inside traced code."""
@@ -125,7 +123,7 @@ class TraceSession:
             )
         return sym
 
-    def note_real(self, out: Tensor, parents: Sequence[Any]) -> None:
+    def note_op(self, out: Tensor, parents: Sequence[Any]) -> None:
         """Track parameter lineage through ops on *real* tensors."""
         grad_roots: frozenset = _EMPTY
         data_roots: frozenset = _EMPTY
@@ -142,31 +140,18 @@ class TraceSession:
         self.lineage[id(out)] = (grad_roots, data_roots)
         self._keep.append(out)
 
-    def concat(self, tensors: Sequence[Any], axis: int) -> Optional[SymbolicTensor]:
-        if not any(isinstance(t, SymbolicTensor) for t in tensors):
+    def dispatch(self, op: str, *args: Any) -> Any:
+        """Run ``sym_<op>`` when any operand (or sequence item) is symbolic."""
+        operands = (
+            item
+            for arg in args
+            for item in (arg if isinstance(arg, (list, tuple)) else (arg,))
+        )
+        if not any(isinstance(v, SymbolicTensor) for v in operands):
             return None
-        return sym_concat(self, tensors, axis)
+        # Looked up per call, so the rules stay patchable on this module.
+        return globals()[f"sym_{op}"](self, *args)
 
-    def stack(self, tensors: Sequence[Any], axis: int) -> Optional[SymbolicTensor]:
-        if not any(isinstance(t, SymbolicTensor) for t in tensors):
-            return None
-        return sym_stack(self, tensors, axis)
-
-    def where(self, condition: Any, a: Any, b: Any) -> Optional[SymbolicTensor]:
-        if not any(isinstance(v, SymbolicTensor) for v in (condition, a, b)):
-            return None
-        return sym_where(self, condition, a, b)
-
-    def lstm_sequence(
-        self, x: Any, h0: Any, c0: Any, w_ih: Any, w_hh: Any, bias: Any, noise: Any
-    ) -> Optional[Tuple[SymbolicTensor, SymbolicTensor]]:
-        if not any(isinstance(v, SymbolicTensor) for v in (x, h0, c0, w_ih, w_hh, bias)):
-            return None
-        return sym_lstm_sequence(self, x, h0, c0, w_ih, w_hh, bias, noise)
-
-    # ------------------------------------------------------------------
-    # Module-call hook (installed into repro.nn.module)
-    # ------------------------------------------------------------------
     def call_module(self, module: Module, args: tuple, kwargs: dict):
         path = self.paths.get(id(module), type(module).__name__)
         self.path_stack.append(path)
@@ -381,19 +366,20 @@ class TraceSession:
         )
 
     # ------------------------------------------------------------------
-    # Hook lifecycle
+    # Observer lifecycle
     # ------------------------------------------------------------------
     @contextlib.contextmanager
     def active(self):
-        """Install the tensor + module hooks for the duration of the trace."""
-        prev_tensor = tensor_mod._set_symbolic_hook(self)
-        prev_module = module_mod._set_call_hook(self)
-        if prev_tensor is not None or prev_module is not None:
-            tensor_mod._set_symbolic_hook(prev_tensor)
-            module_mod._set_call_hook(prev_module)
+        """Install this session as the engine's observer for the trace.
+
+        Whatever observer it replaces (e.g. anomaly detection) is suspended
+        for the trace and restored afterwards.
+        """
+        previous = tensor_mod._set_observer(self)
+        if isinstance(previous, TraceSession):
+            tensor_mod._set_observer(previous)
             raise RuntimeError("a symbolic trace is already active; traces do not nest")
         try:
             yield self
         finally:
-            tensor_mod._set_symbolic_hook(prev_tensor)
-            module_mod._set_call_hook(prev_module)
+            tensor_mod._set_observer(previous)

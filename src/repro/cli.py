@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--kpis", default="rsrp,rsrq")
     p_train.add_argument("--epochs", type=int, default=12)
     p_train.add_argument("--hidden", type=int, default=28)
-    p_train.add_argument("--out", default="gendt.npz")
+    p_train.add_argument("--out", default="gendt.gendt")
     p_train.add_argument(
         "--checkpoint-every", type=int, default=0, metavar="N",
         help="write an atomic training checkpoint every N epochs (0 = off)",

@@ -12,7 +12,6 @@ network + environment context internally; output: multi-KPI time series).
 
 from __future__ import annotations
 
-import zipfile
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -29,9 +28,7 @@ from ..geo.trajectory import Trajectory
 from ..radio.kpis import KPI, KpiSpec
 from ..radio.simulator import DriveTestRecord
 from ..world.region import Region
-from .. import nn
-from ..runtime.checkpoint import is_checkpoint, read_checkpoint, write_checkpoint
-from ..runtime.errors import CheckpointCorruptError
+from ..runtime.checkpoint import read_checkpoint, write_checkpoint
 from ..runtime.guards import HealthGuard
 from ..runtime.validate import validate_trajectory, validate_windows
 from .config import GenDTConfig
@@ -98,7 +95,6 @@ class GenDT:
         keep_last: int = 3,
         resume_from: Optional[Union[str, Path]] = None,
         detect_anomaly: bool = False,
-        verify_graph: bool = True,
     ) -> TrainingHistory:
         """Fit the generator (and refit normalizers) on measurement records.
 
@@ -134,11 +130,10 @@ class GenDT:
             rng=self.rng,
         )
         self.trainer = GenDTTrainer(self.generator, self.config, self.rng)
-        if verify_graph:
-            # One-shot symbolic shape/dtype + gradient-flow check before any
-            # training compute; restores all RNG streams, so training is
-            # bit-identical with verification on or off.
-            self._verify_generator()
+        # One-shot symbolic shape/dtype + gradient-flow check before any
+        # training compute; restores all RNG streams, so training is
+        # bit-identical to a run without it.
+        self._verify_generator()
         assembler = WindowAssembler(
             self.cell_transform,
             self.env_normalizer,
@@ -352,71 +347,37 @@ class GenDT:
 
         verify(self.generator, raise_on_error=True)
 
-    def load(
-        self, path: Union[str, Path], n_env: int = 28, verify_graph: bool = True
-    ) -> None:
+    def load(self, path: Union[str, Path]) -> None:
         """Restore a model saved with :meth:`save` (same config required).
 
-        Accepts both the checksummed checkpoint container and (for backward
-        compatibility) legacy ``.npz`` archives written by older versions.
-        ``n_env`` is only a fallback for legacy files; checkpoints record it.
-
         Raises:
-            CheckpointCorruptError: the file is missing, fails checksum
-                verification, or (legacy path) is a malformed/truncated
-                ``.npz`` archive — always carrying the offending path.
+            CheckpointCorruptError: the file is missing or fails checksum
+                verification — always carrying the offending path.
             ValueError: the checkpoint's KPI list does not match this
                 model's (message names the checkpoint path).
         """
-        if is_checkpoint(path):
-            arrays, meta = read_checkpoint(path)
-            # Validate KPI compatibility before instantiating the generator:
-            # a channel-count mismatch would otherwise surface as an opaque
-            # weight-shape error from load_state_dict.
-            if meta is not None and meta.get("kpis") != self.kpi_names:
-                raise ValueError(
-                    f"checkpoint {path}: KPIs {meta.get('kpis')} do not match "
-                    f"model {self.kpi_names}"
-                )
-            state = {
-                name.partition(".")[2]: value
-                for name, value in arrays.items()
-                if name.startswith("model.")
-            }
-            n_env = int(meta.get("n_env") or n_env)
-            self.generator = GenDTGenerator(
-                n_channels=self.kpi_spec.n_channels,
-                n_env=n_env,
-                config=self.config,
-                rng=self.rng,
-            )
-            self.generator.load_state_dict(state)
-        else:
-            self.generator = GenDTGenerator(
-                n_channels=self.kpi_spec.n_channels,
-                n_env=n_env,
-                config=self.config,
-                rng=self.rng,
-            )
-            try:
-                meta = nn.load_module(self.generator, path)
-            except FileNotFoundError as exc:
-                raise CheckpointCorruptError(
-                    f"checkpoint not found: {exc}", path=str(path)
-                ) from exc
-            except (KeyError, OSError, ValueError, zipfile.BadZipFile) as exc:
-                # np.load raises BadZipFile/OSError on truncation, KeyError on
-                # a missing array, ValueError on un-unpicklable garbage.
-                raise CheckpointCorruptError(
-                    f"malformed legacy .npz archive: {exc!r}", path=str(path)
-                ) from exc
-        if meta is None:
-            raise ValueError(f"missing metadata in checkpoint {path}")
-        if meta["kpis"] != self.kpi_names:
+        arrays, meta = read_checkpoint(path)
+        # Validate KPI compatibility before instantiating the generator:
+        # a channel-count mismatch would otherwise surface as an opaque
+        # weight-shape error from load_state_dict.
+        if meta.get("kpis") != self.kpi_names:
             raise ValueError(
-                f"checkpoint {path}: KPIs {meta['kpis']} do not match "
+                f"checkpoint {path}: KPIs {meta.get('kpis')} do not match "
                 f"model {self.kpi_names}"
             )
+        state = {
+            name.partition(".")[2]: value
+            for name, value in arrays.items()
+            if name.startswith("model.")
+        }
+        n_env = int(meta["n_env"])
+        self.generator = GenDTGenerator(
+            n_channels=self.kpi_spec.n_channels,
+            n_env=n_env,
+            config=self.config,
+            rng=self.rng,
+        )
+        self.generator.load_state_dict(state)
         self._n_env = n_env
         self.env_normalizer = EnvFeatureNormalizer.from_state(
             {k: np.asarray(v) for k, v in meta["env_normalizer"].items()}
@@ -425,8 +386,7 @@ class GenDT:
             {k: np.asarray(v) for k, v in meta["target_normalizer"].items()}
         )
         self.trainer = GenDTTrainer(self.generator, self.config, self.rng)
-        if verify_graph:
-            # Catches weight/config mismatches (e.g. a changed AR window)
-            # that pass load_state_dict but would mis-broadcast at runtime.
-            self._verify_generator()
+        # Catches weight/config mismatches (e.g. a changed AR window) that
+        # pass load_state_dict but would mis-broadcast at runtime.
+        self._verify_generator()
         self._fitted = True

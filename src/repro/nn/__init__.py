@@ -20,7 +20,6 @@ from .losses import (
     mae_loss,
     mse_loss,
 )
-from .serialization import load_module, save_module
 from . import init
 
 __all__ = [
@@ -58,7 +57,5 @@ __all__ = [
     "discriminator_loss",
     "generator_adversarial_loss",
     "gaussian_nll",
-    "save_module",
-    "load_module",
     "init",
 ]

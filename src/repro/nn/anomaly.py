@@ -16,10 +16,12 @@ and raises :class:`~repro.runtime.errors.NumericalAnomalyError` naming the
 offending op, call site and module path the moment the first non-finite
 value appears.
 
-The mode is designed to be zero-cost when off: the tensor engine guards
-every hook behind a single attribute read (``STATE.enabled``), records no
-creation context, and performs no finiteness scans, so training output with
-the mode disabled is bit-identical to an engine without the hooks.
+The mode is one :class:`~repro.nn.tensor.Observer`, installed in the
+engine's single observer slot while :class:`detect_anomaly` is active.  It
+is designed to be zero-cost when off: the tensor engine guards the slot
+behind one ``_observer is not None`` check, records no creation context,
+and performs no finiteness scans, so training output with the mode
+disabled is bit-identical to an engine without the observer.
 
 Usage::
 
@@ -38,50 +40,87 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..runtime.errors import NumericalAnomalyError
+from . import tensor as _tensor
 
 __all__ = ["detect_anomaly", "is_anomaly_enabled", "NumericalAnomalyError"]
 
 
-class _AnomalyState:
-    """Process-wide switch; a plain attribute read keeps the off-path cheap."""
-
-    __slots__ = ("enabled", "modules")
+class _AnomalyDetector(_tensor.Observer):
+    """Records creation context on every op and checks it for NaN/Inf."""
 
     def __init__(self) -> None:
-        self.enabled = False
-        #: Modules whose ``forward`` is running, outermost first; kept by
-        #: ``Module.__call__`` only while the mode is on.
+        #: Modules whose ``forward`` is running, outermost first; ops record
+        #: them, so an anomaly in either pass reports *where in the model*
+        #: it surfaced.
         self.modules: list = []
 
+    def note_op(self, out, parents) -> None:
+        """Record creation context on ``out`` and check the forward output."""
+        op, site = _creation_context()
+        modules = tuple(self.modules)
+        out._anomaly_ctx = (op, site, modules)
+        if not np.isfinite(out.data).all():
+            raise _error(
+                f"forward op {op!r} produced non-finite values (called at {site})",
+                op, site, "forward", modules,
+            )
 
-STATE = _AnomalyState()
+    def check_backward(self, node) -> None:
+        """Check the gradients ``node``'s backward function just wrote.
+
+        Runs while ``node._parents`` is still intact; a non-finite gradient
+        on any parent is attributed to ``node``'s creating op and the
+        modules it ran in.
+        """
+        for parent in node._parents:
+            grad = parent.grad
+            if grad is not None and not np.isfinite(grad).all():
+                op, site, modules = getattr(node, "_anomaly_ctx", None) or (
+                    node.name or "<unrecorded>",
+                    "<tensor created outside detect_anomaly>",
+                    (),
+                )
+                raise _error(
+                    f"backward of op {op!r} (called at {site}) produced a "
+                    "non-finite gradient",
+                    op, site, "backward", modules,
+                )
+
+    def call_module(self, module, args, kwargs):
+        self.modules.append(module)
+        try:
+            return module.forward(*args, **kwargs)
+        finally:
+            self.modules.pop()
+
+
+_DETECTOR = _AnomalyDetector()
 
 
 def is_anomaly_enabled() -> bool:
     """Return whether anomaly detection is currently active."""
-    return STATE.enabled
+    return _tensor._observer is _DETECTOR
 
 
 class detect_anomaly:
     """Context manager enabling NaN/Inf anomaly detection on the tape.
 
-    Re-entrant and restores the previous state on exit, so nesting (or
+    Re-entrant and restores the previous observer on exit, so nesting (or
     enabling inside an already-enabled region) behaves sensibly.
     """
 
     def __enter__(self) -> "detect_anomaly":
-        self._prev = STATE.enabled
-        STATE.enabled = True
+        self._prev = _tensor._set_observer(_DETECTOR)
         return self
 
     def __exit__(self, *exc) -> None:
-        STATE.enabled = self._prev
+        _tensor._set_observer(self._prev)
 
 
 def _creation_context() -> Tuple[str, str]:
     """(op name, caller file:line) for a tensor being created by an op.
 
-    Stack when this runs: [0] here, [1] ``note_forward``, [2] ``Tensor._make``,
+    Stack when this runs: [0] here, [1] ``note_op``, [2] ``Tensor._make``,
     [3] the op method (``__add__``, ``tanh``, ``concat``, ...), [4] its caller.
     """
     op_frame = sys._getframe(3)
@@ -121,40 +160,3 @@ def _error(message: str, op: str, site: str, phase: str, modules: tuple):
         module_chain=[type(m).__name__ for m in reversed(modules)],
         module_path=_module_path(modules),
     )
-
-
-def note_forward(tensor, data: np.ndarray) -> None:
-    """Record creation context on ``tensor`` and check the forward output.
-
-    Called by ``Tensor._make`` only while the mode is enabled.
-    """
-    op, site = _creation_context()
-    modules = tuple(STATE.modules)
-    tensor._anomaly_ctx = (op, site, modules)
-    if not np.isfinite(data).all():
-        raise _error(
-            f"forward op {op!r} produced non-finite values (called at {site})",
-            op, site, "forward", modules,
-        )
-
-
-def check_backward(node) -> None:
-    """Check the gradients ``node``'s backward function just wrote.
-
-    Called by ``Tensor.backward`` right after ``node._backward`` ran, while
-    ``node._parents`` is still intact; a non-finite gradient on any parent
-    is attributed to ``node``'s creating op and the modules it ran in.
-    """
-    for parent in node._parents:
-        grad = parent.grad
-        if grad is not None and not np.isfinite(grad).all():
-            op, site, modules = getattr(node, "_anomaly_ctx", None) or (
-                node.name or "<unrecorded>",
-                "<tensor created outside detect_anomaly>",
-                (),
-            )
-            raise _error(
-                f"backward of op {op!r} (called at {site}) produced a "
-                "non-finite gradient",
-                op, site, "backward", modules,
-            )

@@ -113,9 +113,9 @@ def lstm_sequence(
     The backward pass treats ``mean(s)`` and the denominator as constants,
     so ``dL/ds = g * scale + sum(g * noisy) / den``.
     """
-    hook = _tensor._symbolic_hook
-    if hook is not None:
-        symbolic = hook.lstm_sequence(x, h0, c0, w_ih, w_hh, bias, noise)
+    observer = _tensor._observer
+    if observer is not None:
+        symbolic = observer.dispatch("lstm_sequence", x, h0, c0, w_ih, w_hh, bias, noise)
         if symbolic is not None:
             return symbolic
     inputs = tuple(Tensor._coerce(t) for t in (x, h0, c0, w_ih, w_hh, bias))

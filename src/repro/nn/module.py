@@ -12,23 +12,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .anomaly import STATE as _anomaly
+from . import tensor as _tensor
 from .tensor import Tensor
-
-
-# Module-call hook for symbolic tracing (see repro.analysis.graph.trace).
-# While installed, every Module.__call__ routes through the hook, which
-# pushes the dotted module path, checks the module's @contract, and invokes
-# forward() itself.  ``None`` outside a verification trace.
-_call_hook = None
-
-
-def _set_call_hook(hook):
-    """Install (or clear, with None) the call hook; returns the previous one."""
-    global _call_hook
-    previous = _call_hook
-    _call_hook = hook
-    return previous
 
 
 class Parameter(Tensor):
@@ -126,14 +111,7 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):
-        if _call_hook is not None:
-            return _call_hook.call_module(self, args, kwargs)
-        if not _anomaly.enabled:
-            return self.forward(*args, **kwargs)
-        # Ops record the running modules, so an anomaly in the forward or
-        # the backward pass reports *where in the model* it surfaced.
-        _anomaly.modules.append(self)
-        try:
-            return self.forward(*args, **kwargs)
-        finally:
-            _anomaly.modules.pop()
+        observer = _tensor._observer
+        if observer is not None:
+            return observer.call_module(self, args, kwargs)
+        return self.forward(*args, **kwargs)

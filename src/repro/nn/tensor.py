@@ -19,10 +19,6 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .anomaly import STATE as _anomaly
-from .anomaly import check_backward as _anomaly_check_backward
-from .anomaly import note_forward as _anomaly_note_forward
-
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
 _grad_enabled = True
@@ -47,19 +43,44 @@ def is_grad_enabled() -> bool:
     return _grad_enabled
 
 
-# Symbolic-trace hook (see repro.analysis.graph.trace).  While installed,
-# ``Tensor(...)`` construction lifts data into SymbolicTensors, every real
-# op reports its output for parameter-lineage tracking, and the
-# concat/stack/where free functions dispatch to their symbolic versions
-# when any operand is symbolic.  ``None`` outside a verification trace.
-_symbolic_hook = None
+class Observer:
+    """Base class for whatever watches the engine from the observer slot.
+
+    At most one observer is installed at a time (:func:`_set_observer`);
+    anomaly detection (:mod:`repro.nn.anomaly`) and the symbolic tracer
+    (:mod:`repro.analysis.graph.trace`) are the two in use.  Every method
+    here is a no-op, so a subclass overrides only what it watches.
+    """
+
+    def lift_new(self, data, requires_grad):
+        """Replace ``Tensor(data)`` construction; ``None`` keeps it real."""
+        return None
+
+    def note_op(self, out, parents) -> None:
+        """Called by every op with its freshly built output."""
+
+    def check_backward(self, node) -> None:
+        """Called after ``node``'s backward function wrote its gradients."""
+
+    def dispatch(self, op, *args):
+        """Replace the free function ``op``; ``None`` runs the real one."""
+        return None
+
+    def call_module(self, module, args, kwargs):
+        """Run ``module.forward`` on behalf of ``Module.__call__``."""
+        return module.forward(*args, **kwargs)
 
 
-def _set_symbolic_hook(hook):
-    """Install (or clear, with None) the trace hook; returns the previous one."""
-    global _symbolic_hook
-    previous = _symbolic_hook
-    _symbolic_hook = hook
+# The single observer slot; ``None`` (the off-path) outside anomaly
+# detection and symbolic traces.
+_observer: Optional[Observer] = None
+
+
+def _set_observer(observer: Optional[Observer]) -> Optional[Observer]:
+    """Install (or clear, with None) the observer; returns the previous one."""
+    global _observer
+    previous = _observer
+    _observer = observer
     return previous
 
 
@@ -90,8 +111,10 @@ class Tensor:
         # SymbolicTensor so shapes stay named through the whole forward.
         # Parameter (and other subclasses) stay real: tracing works on the
         # module's actual weights via their shadow arrays.
-        if _symbolic_hook is not None and cls is Tensor:
-            return _symbolic_hook.lift_new(data, requires_grad)
+        if _observer is not None and cls is Tensor:
+            lifted = _observer.lift_new(data, requires_grad)
+            if lifted is not None:
+                return lifted
         return object.__new__(cls)
 
     def __init__(
@@ -164,14 +187,12 @@ class Tensor:
     ) -> "Tensor":
         requires = _grad_enabled and any(p.requires_grad for p in parents)
         # Raw construction: bypasses the symbolic lifting in __new__ so real
-        # op outputs stay real even while a trace hook is installed (mixed
-        # real/symbolic expressions report their lineage via note_real).
+        # op outputs stay real even while a trace is installed (mixed
+        # real/symbolic expressions report their lineage via note_op).
         out = object.__new__(Tensor)
         Tensor.__init__(out, data, requires_grad=False)
-        if _symbolic_hook is not None:
-            _symbolic_hook.note_real(out, parents)
-        if _anomaly.enabled:
-            _anomaly_note_forward(out, out.data)
+        if _observer is not None:
+            _observer.note_op(out, parents)
         if requires:
             out.requires_grad = True
             out._parents = tuple(p for p in parents if p.requires_grad)
@@ -479,8 +500,8 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-                if _anomaly.enabled:
-                    _anomaly_check_backward(node)
+                if _observer is not None:
+                    _observer.check_backward(node)
                 # Free intermediate grads/graph to bound memory; keep leaf grads.
                 if node._parents:
                     node.grad = None
@@ -495,8 +516,8 @@ class Tensor:
 # ----------------------------------------------------------------------
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient support."""
-    if _symbolic_hook is not None:
-        symbolic = _symbolic_hook.concat(tensors, axis)
+    if _observer is not None:
+        symbolic = _observer.dispatch("concat", tensors, axis)
         if symbolic is not None:
             return symbolic
     tensors = [Tensor._coerce(t) for t in tensors]
@@ -517,8 +538,8 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis with gradient support."""
-    if _symbolic_hook is not None:
-        symbolic = _symbolic_hook.stack(tensors, axis)
+    if _observer is not None:
+        symbolic = _observer.dispatch("stack", tensors, axis)
         if symbolic is not None:
             return symbolic
     tensors = [Tensor._coerce(t) for t in tensors]
@@ -536,8 +557,8 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def where(condition: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:
     """Elementwise select with gradient flowing to both branches."""
-    if _symbolic_hook is not None:
-        symbolic = _symbolic_hook.where(condition, a, b)
+    if _observer is not None:
+        symbolic = _observer.dispatch("where", condition, a, b)
         if symbolic is not None:
             return symbolic
     a = Tensor._coerce(a)

@@ -29,7 +29,6 @@ from .checkpoint import (
     SCHEMA_VERSION,
     CheckpointManager,
     capture_trainer_state,
-    is_checkpoint,
     read_checkpoint,
     resolve_checkpoint,
     restore_trainer_state,
@@ -55,7 +54,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "write_checkpoint",
     "read_checkpoint",
-    "is_checkpoint",
     "resolve_checkpoint",
     "capture_trainer_state",
     "restore_trainer_state",

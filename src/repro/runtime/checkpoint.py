@@ -112,6 +112,8 @@ def read_checkpoint(path: PathLike) -> Tuple[Dict[str, np.ndarray], Dict[str, An
     path = Path(path)
     try:
         raw = path.read_bytes()
+    except FileNotFoundError as exc:
+        raise CheckpointCorruptError(f"checkpoint not found: {exc}", path=str(path)) from exc
     except OSError as exc:
         raise CheckpointCorruptError(f"unreadable: {exc}", path=str(path)) from exc
     if len(raw) < len(MAGIC) + 8 or raw[: len(MAGIC)] != MAGIC:
@@ -152,15 +154,6 @@ def read_checkpoint(path: PathLike) -> Tuple[Dict[str, np.ndarray], Dict[str, An
     except Exception as exc:  # malformed zip despite good checksum
         raise CheckpointCorruptError(f"unreadable payload: {exc}", path=str(path)) from exc
     return arrays, header.get("meta", {})
-
-
-def is_checkpoint(path: PathLike) -> bool:
-    """Magic-byte sniff: is ``path`` a GenDT checkpoint container?"""
-    try:
-        with open(path, "rb") as handle:
-            return handle.read(len(MAGIC)) == MAGIC
-    except OSError:
-        return False
 
 
 def resolve_checkpoint(path: PathLike) -> Path:

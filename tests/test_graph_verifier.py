@@ -123,6 +123,19 @@ def test_fused_lstm_rejects_weights_off_the_gate_layout():
     assert "StochasticLSTM" in str(violation) and "w_hh" in str(violation)
 
 
+def test_nested_trace_raises_and_keeps_outer_observer():
+    from repro.analysis.graph.trace import TraceSession
+
+    outer = TraceSession(SHIPPED["linear"].build(0))
+    inner = TraceSession(SHIPPED["mlp"].build(0))
+    with outer.active():
+        with pytest.raises(RuntimeError, match="do not nest"):
+            with inner.active():
+                pass  # pragma: no cover - never entered
+        assert nn.tensor._observer is outer
+    assert nn.tensor._observer is None
+
+
 def test_raise_on_error_raises_graph_contract_error():
     module = DEFECTS["resgen_miswindowed"].build(0)
     with pytest.raises(GraphContractError) as excinfo:

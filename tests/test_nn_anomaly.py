@@ -29,6 +29,30 @@ class TestContextManager:
         assert not is_anomaly_enabled()
 
 
+class TestObserverSlot:
+    """Anomaly detection and the symbolic tracer share one observer slot."""
+
+    def test_verify_inside_detect_anomaly(self):
+        from repro.analysis.graph import verify
+        from repro.analysis.graph.registry import shipped_entries
+
+        entry = next(e for e in shipped_entries() if e.name == "gendt_generator")
+        with detect_anomaly():
+            report = verify(entry.build(0))
+            assert is_anomaly_enabled()
+            with pytest.raises(NumericalAnomalyError):
+                Tensor([-1.0]).log()
+        assert report.ok, report.format()
+        assert not is_anomaly_enabled()
+
+    def test_slot_cleared_after_error_exit(self):
+        with pytest.raises(ZeroDivisionError):
+            with detect_anomaly():
+                with detect_anomaly():
+                    raise ZeroDivisionError
+        assert nn.tensor._observer is None
+
+
 class TestForwardAnomaly:
     def test_nan_forward_names_op_and_site(self):
         with detect_anomaly():

@@ -1,10 +1,11 @@
-"""Edge cases and failure injection for the nn engine and serialization."""
+"""Edge cases and failure injection for the nn engine and checkpointing."""
 
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.nn.tensor import Tensor, concat, stack
+from repro.runtime import read_checkpoint, write_checkpoint
 
 
 class TestNumericalRobustness:
@@ -98,30 +99,31 @@ class TestOptimizerEdgeCases:
 
 
 class TestSerializationEdgeCases:
+    """Module state dicts through the checkpoint container."""
+
     def test_meta_with_nested_structures(self, tmp_path):
         rng = np.random.default_rng(0)
         layer = nn.Linear(2, 2, rng)
         meta = {"kpis": ["rsrp", "rsrq"], "norm": {"mean": [1.0, 2.0]}, "n": 3}
-        path = tmp_path / "m.npz"
-        nn.save_module(layer, path, meta=meta)
-        loaded = nn.load_module(layer, path)
+        path = write_checkpoint(tmp_path / "m.gendt", layer.state_dict(), meta)
+        _, loaded = read_checkpoint(path)
         assert loaded == meta
 
     def test_creates_parent_directories(self, tmp_path):
         rng = np.random.default_rng(0)
         layer = nn.Linear(2, 2, rng)
-        path = tmp_path / "deep" / "nested" / "m.npz"
-        nn.save_module(layer, path)
+        path = tmp_path / "deep" / "nested" / "m.gendt"
+        write_checkpoint(path, layer.state_dict())
         assert path.exists()
 
     def test_load_into_wrong_architecture_fails(self, tmp_path):
         rng = np.random.default_rng(0)
         src = nn.Linear(2, 2, rng)
         dst = nn.Linear(3, 2, rng)
-        path = tmp_path / "m.npz"
-        nn.save_module(src, path)
+        path = write_checkpoint(tmp_path / "m.gendt", src.state_dict())
+        arrays, _ = read_checkpoint(path)
         with pytest.raises(ValueError):
-            nn.load_module(dst, path)
+            dst.load_state_dict(arrays)
 
 
 class TestLSTMEdgeCases:

@@ -10,7 +10,6 @@ from repro.runtime import (
     CheckpointManager,
     CheckpointCorruptError,
     SCHEMA_VERSION,
-    is_checkpoint,
     read_checkpoint,
     resolve_checkpoint,
     write_checkpoint,
@@ -25,20 +24,14 @@ def _arrays():
 class TestContainer:
     def test_round_trip(self, tmp_path):
         arrays = _arrays()
-        path = write_checkpoint(tmp_path / "x.gendt", arrays, {"epoch": 3, "tag": "t"})
-        loaded, meta = read_checkpoint(path)
-        assert meta == {"epoch": 3, "tag": "t"}
-        assert set(loaded) == set(arrays)
-        for key in arrays:
-            np.testing.assert_array_equal(loaded[key], arrays[key])
-
-    def test_is_checkpoint_sniff(self, tmp_path):
-        path = write_checkpoint(tmp_path / "x.gendt", _arrays(), {})
-        assert is_checkpoint(path)
-        other = tmp_path / "plain.npz"
-        np.savez(other, a=np.arange(3))
-        assert not is_checkpoint(other)
-        assert not is_checkpoint(tmp_path / "missing")
+        # The second target also checks that missing parent dirs are created.
+        for target in (tmp_path / "x.gendt", tmp_path / "deep" / "nested" / "x.gendt"):
+            path = write_checkpoint(target, arrays, {"epoch": 3, "tag": "t"})
+            loaded, meta = read_checkpoint(path)
+            assert meta == {"epoch": 3, "tag": "t"}
+            assert set(loaded) == set(arrays)
+            for key in arrays:
+                np.testing.assert_array_equal(loaded[key], arrays[key])
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(CheckpointCorruptError):
@@ -152,27 +145,6 @@ class TestOptimizerState:
         assert fresh._velocity  # restored
 
 
-class TestSerializationSuffix:
-    """The np.savez suffix trap: save/load must agree on the real filename."""
-
-    def test_suffixless_path_round_trips(self, tmp_path):
-        layer = nn.Linear(3, 2, rng=np.random.default_rng(0))
-        bare = tmp_path / "ckpt"  # no .npz
-        nn.save_module(layer, bare, meta={"n": 1})
-        assert (tmp_path / "ckpt.npz").exists()
-        clone = nn.Linear(3, 2, rng=np.random.default_rng(1))
-        meta = nn.load_module(clone, bare)  # same bare path now loads
-        assert meta == {"n": 1}
-        for (_, a), (_, b) in zip(layer.named_parameters(), clone.named_parameters()):
-            np.testing.assert_array_equal(a.data, b.data)
-
-    def test_explicit_npz_unchanged(self, tmp_path):
-        layer = nn.Linear(2, 2, rng=np.random.default_rng(0))
-        nn.save_module(layer, tmp_path / "m.npz")
-        assert (tmp_path / "m.npz").exists()
-        assert nn.load_module(layer, tmp_path / "m.npz") is None
-
-
 class TestTrainingResume:
     """save -> resume-from-epoch-k reproduces an uninterrupted run bit-exactly."""
 
@@ -228,7 +200,6 @@ class TestModelPersistenceFormat:
     def test_model_save_is_checksummed_checkpoint(self, trained_gendt, tmp_path):
         path = tmp_path / "model.gendt"
         trained_gendt.save(path)
-        assert is_checkpoint(path)
         _, meta = read_checkpoint(path)
         assert meta["kind"] == "model"
         assert meta["kpis"] == ["rsrp", "rsrq"]
@@ -245,20 +216,3 @@ class TestModelPersistenceFormat:
         )
         with pytest.raises(CheckpointCorruptError):
             clone.load(path)
-
-    def test_legacy_npz_still_loads(self, trained_gendt, tmp_path):
-        """Old-format archives written by save_module stay loadable."""
-        from repro import nn as nn_mod
-
-        path = tmp_path / "legacy.npz"
-        meta = trained_gendt._checkpoint_meta()
-        meta.pop("n_env")
-        nn_mod.save_module(trained_gendt.generator, path, meta=meta)
-        clone = GenDT(
-            trained_gendt.region, kpis=["rsrp", "rsrq"],
-            config=trained_gendt.config, seed=0,
-        )
-        clone.load(path)
-        np.testing.assert_allclose(
-            clone.target_normalizer.mean, trained_gendt.target_normalizer.mean
-        )

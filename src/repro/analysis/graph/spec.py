@@ -75,10 +75,6 @@ class Dim(int):
         return f"Dim({int(self)})"
 
 
-def as_dim(value: Any) -> Dim:
-    return value if isinstance(value, Dim) else Dim(int(value))
-
-
 def render_dims(dims: Iterable[Any]) -> str:
     """``[B, L, 28]``-style rendering of a symbolic or concrete shape."""
     parts = []

@@ -120,15 +120,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    from .core import GenDT, small_config
+    from .core import GenDT
 
     dataset = _make_dataset(args)
-    kpis = args.kpis.split(",")
-    config = small_config(
-        epochs=1, hidden_size=args.hidden, batch_len=25, train_step=5
-    )
-    model = GenDT(dataset.region, kpis=kpis, config=config, seed=args.seed)
-    model.load(args.checkpoint)
+    model = GenDT.from_checkpoint(args.checkpoint, dataset.region, seed=args.seed)
 
     rng = np.random.default_rng(args.seed + 1)
     route = dataset.region.roads.random_walk_route(
@@ -140,7 +135,7 @@ def cmd_generate(args) -> int:
     series = model.generate(trajectory)
 
     out = Path(args.out)
-    header = "t_s,lat,lon," + ",".join(kpis)
+    header = "t_s,lat,lon," + ",".join(model.kpi_names)
     rows = np.column_stack([trajectory.t, trajectory.lat, trajectory.lon, series])
     np.savetxt(out, rows, delimiter=",", header=header, comments="")
     print(f"generated {len(trajectory)} samples -> {out}")
@@ -151,21 +146,16 @@ def cmd_generate_campaign(args) -> int:
     import json
 
     from .baselines.fdas import FDaS
-    from .core import GenDT, small_config
+    from .core import GenDT
     from .serving import CampaignConfig, CampaignRunner
 
     dataset = _make_dataset(args)
-    kpis = args.kpis.split(",")
-    config = small_config(
-        epochs=1, hidden_size=args.hidden, batch_len=25, train_step=5
-    )
-    model = GenDT(dataset.region, kpis=kpis, config=config, seed=args.seed)
-    model.load(args.checkpoint)
+    model = GenDT.from_checkpoint(args.checkpoint, dataset.region, seed=args.seed)
 
     fdas = None
     if not args.no_fdas:
         split = _split(dataset, args.seed)
-        fdas = FDaS(kpis=kpis, seed=args.seed + 2)
+        fdas = FDaS(kpis=model.kpi_names, seed=args.seed + 2)
         fdas.fit(split.train)
 
     rng = np.random.default_rng(args.seed + 1)
@@ -225,15 +215,13 @@ def cmd_generate_campaign(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .core import GenDT, small_config
+    from .core import GenDT
     from .eval import compare_methods, format_table, average_rows
 
     dataset = _make_dataset(args)
     split = _split(dataset, args.seed)
-    kpis = args.kpis.split(",")
-    config = small_config(epochs=1, hidden_size=args.hidden, batch_len=25, train_step=5)
-    model = GenDT(dataset.region, kpis=kpis, config=config, seed=args.seed)
-    model.load(args.checkpoint)
+    model = GenDT.from_checkpoint(args.checkpoint, dataset.region, seed=args.seed)
+    kpis = model.kpi_names
     on_error = "skip" if args.skip_failures else "raise"
     results = compare_methods(
         {"gendt": model.generate}, split.test, kpis, on_error=on_error
@@ -372,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="generate KPIs for a fresh route")
     _add_common(p_gen)
-    p_gen.add_argument("--kpis", default="rsrp,rsrq")
-    p_gen.add_argument("--hidden", type=int, default=28)
     p_gen.add_argument("--checkpoint", required=True)
     p_gen.add_argument("--route-length-m", type=float, default=2000.0)
     p_gen.add_argument("--speed", type=float, default=8.0)
@@ -386,8 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="resilient batch generation over many routes (serving runtime)",
     )
     _add_common(p_camp)
-    p_camp.add_argument("--kpis", default="rsrp,rsrq")
-    p_camp.add_argument("--hidden", type=int, default=28)
     p_camp.add_argument("--checkpoint", required=True)
     p_camp.add_argument(
         "--routes", type=int, default=8,
@@ -429,8 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="fidelity of a checkpoint")
     _add_common(p_eval)
-    p_eval.add_argument("--kpis", default="rsrp,rsrq")
-    p_eval.add_argument("--hidden", type=int, default=28)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument(
         "--skip-failures", action="store_true",

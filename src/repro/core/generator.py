@@ -98,14 +98,12 @@ class GenDTGenerator(nn.Module):
     # ------------------------------------------------------------------
     # Training-time forward (teacher forcing)
     # ------------------------------------------------------------------
-    def forward_teacher_forced(
-        self, batch: ModelBatch, stochastic: Optional[bool] = None
-    ) -> Dict[str, Tensor]:
+    def forward_teacher_forced(self, batch: ModelBatch) -> Dict[str, Tensor]:
         """Generate with real recent values feeding ResGen (training mode)."""
         if batch.target is None:
             raise ValueError("teacher forcing requires targets")
-        h_avg = self.h_avg(batch, stochastic=stochastic)
-        base = self.agg_net(h_avg, stochastic=stochastic)
+        h_avg = self.h_avg(batch)
+        base = self.agg_net(h_avg)
         out: Dict[str, Tensor] = {"h_avg": h_avg, "base": base}
         if self.resgen is not None:
             # ResGen is autoregressive over the *residual* process
@@ -131,8 +129,6 @@ class GenDTGenerator(nn.Module):
         self,
         batch: ModelBatch,
         ar_state: Optional[np.ndarray] = None,
-        stochastic: Optional[bool] = None,
-        collect_params: bool = False,
         first_stage_only: bool = False,
     ) -> Tuple[np.ndarray, np.ndarray, Optional[Dict[str, np.ndarray]]]:
         """Generate one batch of windows autoregressively.
@@ -141,19 +137,18 @@ class GenDTGenerator(nn.Module):
             batch: assembled windows (targets ignored).
             ar_state: [B, m, N_ch] recent *residual* values carried from the
                 previous generation batch (zeros at trajectory start).
-            stochastic: override for the SRNN noise.
-            collect_params: also return ResGen's (mu, sigma) series — used by
-                the MC-dropout uncertainty probe.
-            first_stage_only: skip ResGen residual sampling and return the
-                ``G_n`` + ``G_a`` base output only.  Combined with
-                ``stochastic=False`` this is the deterministic middle rung of
-                the serving degradation ladder (:mod:`repro.serving`).
+            first_stage_only: turn the SRNN noise off, skip ResGen residual
+                sampling and return the ``G_n`` + ``G_a`` base output only:
+                the deterministic middle rung of the serving degradation
+                ladder (:mod:`repro.serving`).
 
         Returns:
             (generated [B, L, N_ch] in normalized space,
              new ar_state [B, m, N_ch],
-             optional {"mu": [B, L, N_ch], "sigma": [B, L, N_ch]}).
+             ResGen's {"mu": [B, L, N_ch], "sigma": [B, L, N_ch]}, or None
+             when ResGen did not run).
         """
+        stochastic = False if first_stage_only else None
         with nn.no_grad():
             h_avg = self.h_avg(batch, stochastic=stochastic)
             base = self.agg_net(h_avg, stochastic=stochastic)
@@ -167,8 +162,8 @@ class GenDTGenerator(nn.Module):
                 return base_np, new_state, None
 
             output = np.empty_like(base_np)
-            params_mu = np.empty_like(base_np) if collect_params else None
-            params_sigma = np.empty_like(base_np) if collect_params else None
+            params_mu = np.empty_like(base_np)
+            params_sigma = np.empty_like(base_np)
             state = ar_state.copy()
             for t in range(length):
                 env_t = Tensor(batch.env[:, t, :])
@@ -176,13 +171,9 @@ class GenDTGenerator(nn.Module):
                 residual, mu, log_sigma = self.resgen.sample(env_t, recent_t)
                 residual_np = np.clip(residual.numpy(), -5.0, 5.0)
                 output[:, t] = base_np[:, t] + residual_np
-                if collect_params:
-                    params_mu[:, t] = mu.numpy()
-                    params_sigma[:, t] = np.exp(log_sigma.numpy())
+                params_mu[:, t] = mu.numpy()
+                params_sigma[:, t] = np.exp(log_sigma.numpy())
                 state = np.concatenate(
                     [state[:, 1:], residual_np[:, None, :]], axis=1
                 )
-            params = (
-                {"mu": params_mu, "sigma": params_sigma} if collect_params else None
-            )
-            return output, state, params
+            return output, state, {"mu": params_mu, "sigma": params_sigma}

@@ -12,6 +12,7 @@ network + environment context internally; output: multi-KPI time series).
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -29,6 +30,7 @@ from ..radio.kpis import KPI, KpiSpec
 from ..radio.simulator import DriveTestRecord
 from ..world.region import Region
 from ..runtime.checkpoint import read_checkpoint, write_checkpoint
+from ..runtime.errors import CheckpointCorruptError
 from ..runtime.guards import HealthGuard
 from ..runtime.validate import validate_trajectory, validate_windows
 from .config import GenDTConfig
@@ -122,26 +124,13 @@ class GenDT:
         from .features import N_KINEMATIC_FEATURES
 
         n_env = windows[0].env_features.shape[-1] + N_KINEMATIC_FEATURES
-        self._n_env = n_env
-        self.generator = GenDTGenerator(
-            n_channels=self.kpi_spec.n_channels,
-            n_env=n_env,
-            config=self.config,
-            rng=self.rng,
-        )
-        self.trainer = GenDTTrainer(self.generator, self.config, self.rng)
+        self._install_generator(n_env)
         # One-shot symbolic shape/dtype + gradient-flow check before any
         # training compute; restores all RNG streams, so training is
         # bit-identical to a run without it.
         self._verify_generator()
-        assembler = WindowAssembler(
-            self.cell_transform,
-            self.env_normalizer,
-            self.target_normalizer,
-            self.config.max_cells,
-        )
         batches = make_minibatches(
-            assembler, windows, self.config.minibatch_windows, self.rng
+            self._assembler(), windows, self.config.minibatch_windows, self.rng
         )
         history = self.trainer.fit(
             batches,
@@ -172,13 +161,38 @@ class GenDT:
         """
         self._require_fitted()
         windows = self.build_training_windows(records)
-        assembler = self._assembler()
         batches = make_minibatches(
-            assembler, windows, self.config.minibatch_windows, self.rng
+            self._assembler(), windows, self.config.minibatch_windows, self.rng
         )
         return self.trainer.fit(
             batches, epochs=epochs, verbose=verbose, detect_anomaly=detect_anomaly
         )
+
+    def _install_generator(
+        self, n_env: int, state: Optional[Dict[str, np.ndarray]] = None
+    ) -> None:
+        """Build a generator and its trainer, load ``state`` into it, install both.
+
+        RNG order: generator init, then discriminator init.  Nothing on
+        ``self`` changes until ``load_state_dict`` has succeeded: weights
+        that do not fit keep a fitted model's generator, trainer and RNG
+        state.
+        """
+        rng_state = self.rng.bit_generator.state
+        generator = GenDTGenerator(
+            n_channels=self.kpi_spec.n_channels,
+            n_env=n_env,
+            config=self.config,
+            rng=self.rng,
+        )
+        trainer = GenDTTrainer(generator, self.config, self.rng)
+        if state is not None:
+            try:
+                generator.load_state_dict(state)
+            except (KeyError, ValueError):
+                self.rng.bit_generator.state = rng_state
+                raise
+        self.generator, self.trainer, self._n_env = generator, trainer, n_env
 
     def _assembler(self) -> WindowAssembler:
         return WindowAssembler(
@@ -198,8 +212,6 @@ class GenDT:
     def generate_normalized(
         self,
         trajectory: Trajectory,
-        collect_params: bool = False,
-        stochastic: Optional[bool] = None,
         first_stage_only: bool = False,
         window_hook: Optional[
             Callable[[int, np.ndarray], Optional[np.ndarray]]
@@ -207,15 +219,16 @@ class GenDT:
     ) -> Dict[str, np.ndarray]:
         """Generate in normalized space; used internally and by uncertainty.
 
-        ``first_stage_only`` skips ResGen residual sampling (deterministic
-        base output).  ``window_hook(index, out)`` is invoked after each
-        generation window with the window index and its [L, N_ch] output; it
-        may return a replacement array, return ``None`` to keep the output,
-        or raise to abort the trajectory.  The serving layer
-        (:mod:`repro.serving`) uses the hook for per-window deadline checks
-        and deterministic fault injection.
+        ``first_stage_only`` turns the SRNN noise off and skips ResGen
+        residual sampling (deterministic base output).  ``window_hook(index,
+        out)`` is invoked after each generation window with the window index
+        and its [L, N_ch] output; it may return a replacement array, return
+        ``None`` to keep the output, or raise to abort the trajectory.  The
+        serving layer (:mod:`repro.serving`) uses the hook for per-window
+        deadline checks and deterministic fault injection.
 
-        Returns {"series": [T, N_ch], optionally "mu"/"sigma": [T, N_ch]}.
+        Returns {"series", "mu", "sigma"}, each [T, N_ch]: the series and
+        ResGen's Gaussian parameters (NaN where ResGen did not run).
         """
         self._require_fitted()
         validate_trajectory(trajectory)
@@ -226,14 +239,13 @@ class GenDT:
         m = self.config.resgen_ar_window
         n_ch = self.kpi_spec.n_channels
         series = np.full((len(trajectory), n_ch), np.nan)
-        mu = np.full_like(series, np.nan) if collect_params else None
-        sigma = np.full_like(series, np.nan) if collect_params else None
+        mu = np.full_like(series, np.nan)
+        sigma = np.full_like(series, np.nan)
         ar_state = np.zeros((1, m, n_ch))
         for index, window in enumerate(windows):
             batch = assembler.assemble([window], with_target=False)
             out, ar_state, params = self.generator.generate_batch(
-                batch, ar_state=ar_state, stochastic=stochastic,
-                collect_params=collect_params, first_stage_only=first_stage_only,
+                batch, ar_state=ar_state, first_stage_only=first_stage_only
             )
             window_out = out[0]
             if window_hook is not None:
@@ -242,19 +254,14 @@ class GenDT:
                     window_out = np.asarray(replaced)
             start, stop = window.start, window.start + window.length
             series[start:stop] = window_out
-            if collect_params and params is not None:
+            if params is not None:
                 mu[start:stop] = params["mu"][0]
                 sigma[start:stop] = params["sigma"][0]
-        result = {"series": series}
-        if collect_params:
-            result["mu"] = mu
-            result["sigma"] = sigma
-        return result
+        return {"series": series, "mu": mu, "sigma": sigma}
 
     def generate(
         self,
         trajectory: Trajectory,
-        stochastic: Optional[bool] = None,
         first_stage_only: bool = False,
         window_hook: Optional[
             Callable[[int, np.ndarray], Optional[np.ndarray]]
@@ -275,8 +282,7 @@ class GenDT:
         runtime.
         """
         normalized = self.generate_normalized(
-            trajectory, stochastic=stochastic, first_stage_only=first_stage_only,
-            window_hook=window_hook,
+            trajectory, first_stage_only=first_stage_only, window_hook=window_hook
         )
         series = self.target_normalizer.denormalize(normalized["series"])
         return self._clip(series)
@@ -314,9 +320,10 @@ class GenDT:
     # Persistence
     # ------------------------------------------------------------------
     def _checkpoint_meta(self) -> Dict:
-        """Model-level metadata embedded in checkpoints (normalizers, KPIs)."""
+        """Model-level checkpoint metadata (KPIs, config, normalizers)."""
         return {
             "kpis": self.kpi_names,
+            "config": asdict(self.config),
             "n_env": self._n_env,
             "env_normalizer": {
                 k: v.tolist() for k, v in self.env_normalizer.state().items()
@@ -347,14 +354,46 @@ class GenDT:
 
         verify(self.generator, raise_on_error=True)
 
+    @classmethod
+    def from_checkpoint(
+        cls, path: Union[str, Path], region: Region, seed: int = 0
+    ) -> "GenDT":
+        """Rebuild a model saved with :meth:`save` from the checkpoint alone.
+
+        The KPIs and the :class:`GenDTConfig` come from the checkpoint's
+        metadata; the result is ``GenDT(region, kpis, config, seed)`` after
+        :meth:`load`.
+
+        Raises:
+            CheckpointCorruptError: the file is missing, fails checksum
+                verification or records no model config — always carrying
+                the offending path.
+        """
+        _, meta = read_checkpoint(path)
+        if "config" not in meta:
+            raise CheckpointCorruptError(
+                "checkpoint records no model config", path=str(path)
+            )
+        fields = dict(meta["config"])
+        fields["resgen_hidden"] = tuple(fields["resgen_hidden"])
+        model = cls(region, kpis=meta["kpis"], config=GenDTConfig(**fields), seed=seed)
+        model.load(path)
+        return model
+
     def load(self, path: Union[str, Path]) -> None:
-        """Restore a model saved with :meth:`save` (same config required).
+        """Restore a model saved with :meth:`save` into this instance.
+
+        The weights must fit this model's config; to rebuild a model from
+        the checkpoint's own KPIs and config use :meth:`from_checkpoint`.
+        If the weights do not fit, the current weights, trainer,
+        normalizers and RNG state are kept.
 
         Raises:
             CheckpointCorruptError: the file is missing or fails checksum
                 verification — always carrying the offending path.
             ValueError: the checkpoint's KPI list does not match this
-                model's (message names the checkpoint path).
+                model's (message names the checkpoint path), or its weights
+                do not fit this model's config.
         """
         arrays, meta = read_checkpoint(path)
         # Validate KPI compatibility before instantiating the generator:
@@ -370,22 +409,14 @@ class GenDT:
             for name, value in arrays.items()
             if name.startswith("model.")
         }
-        n_env = int(meta["n_env"])
-        self.generator = GenDTGenerator(
-            n_channels=self.kpi_spec.n_channels,
-            n_env=n_env,
-            config=self.config,
-            rng=self.rng,
-        )
-        self.generator.load_state_dict(state)
-        self._n_env = n_env
-        self.env_normalizer = EnvFeatureNormalizer.from_state(
+        env_normalizer = EnvFeatureNormalizer.from_state(
             {k: np.asarray(v) for k, v in meta["env_normalizer"].items()}
         )
-        self.target_normalizer = TargetNormalizer.from_state(
+        target_normalizer = TargetNormalizer.from_state(
             {k: np.asarray(v) for k, v in meta["target_normalizer"].items()}
         )
-        self.trainer = GenDTTrainer(self.generator, self.config, self.rng)
+        self._install_generator(int(meta["n_env"]), state)
+        self.env_normalizer, self.target_normalizer = env_normalizer, target_normalizer
         # Catches weight/config mismatches (e.g. a changed AR window) that
         # pass load_state_dict but would mis-broadcast at runtime.
         self._verify_generator()

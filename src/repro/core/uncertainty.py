@@ -52,7 +52,7 @@ def mc_dropout_uncertainty(
         mus: List[np.ndarray] = []
         sigmas: List[np.ndarray] = []
         for _ in range(n_passes):
-            out = model.generate_normalized(trajectory, collect_params=True)
+            out = model.generate_normalized(trajectory)
             mus.append(out["mu"])
             sigmas.append(out["sigma"])
     finally:

@@ -80,12 +80,6 @@ class CellDeployment:
             if dists[i] <= max_distance_m
         ]
 
-    def density_per_km2(self, area_km2: float) -> float:
-        """Cell density for a region of the given area."""
-        if area_km2 <= 0:
-            raise ValueError("area must be positive")
-        return len(self.cells) / area_km2
-
 
 def deploy_city(
     city: CitySpec,

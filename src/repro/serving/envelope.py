@@ -120,9 +120,6 @@ class CampaignResult:
     def __len__(self) -> int:
         return len(self.envelopes)
 
-    def by_status(self, status: str) -> List[GenerationEnvelope]:
-        return [e for e in self.envelopes if e.status == status]
-
     def summary(self) -> Dict[str, Any]:
         """Machine-readable campaign roll-up (also the CLI's closing line)."""
         counts = {status: 0 for status in STATUSES}

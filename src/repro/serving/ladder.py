@@ -5,12 +5,12 @@ The ladder's three rungs trade fidelity for robustness:
 
 1. ``full`` — the complete stochastic GenDT pipeline (G_n + G_a + ResGen),
    the paper's headline generator;
-2. ``first_stage`` — the first-stage output (``stochastic=False``, ResGen
-   residual sampling skipped): loses the shadowing texture but keeps all
+2. ``first_stage`` — the first-stage output (``first_stage_only=True``:
+   SRNN noise off, ResGen skipped): loses the shadowing texture but keeps all
    context conditioning, and cannot be destabilized by the autoregressive
-   residual loop.  SRNN sampling is off; the only randomness left is the
-   denoising noise ``z0``, drawn from the model's seeded generation RNG —
-   deterministic conditional on that RNG's state;
+   residual loop.  The only randomness left is the denoising noise
+   ``z0``, drawn from the model's seeded generation RNG — deterministic
+   conditional on that RNG's state;
 3. ``fdas`` — the context-free fit-distribution-and-sample baseline
    (:class:`repro.baselines.fdas.FDaS`): statistically plausible marginals
    with no model call at all, so it also serves while the circuit breaker
@@ -100,10 +100,7 @@ class LadderExecutor:
             return self.model.generate(trajectory, window_hook=window_hook)
         if level == LEVEL_FIRST_STAGE:
             return self.model.generate(
-                trajectory,
-                stochastic=False,
-                first_stage_only=True,
-                window_hook=window_hook,
+                trajectory, first_stage_only=True, window_hook=window_hook
             )
         if level == LEVEL_FDAS:
             if self.fdas is None:

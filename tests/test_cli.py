@@ -40,7 +40,7 @@ class TestCommands:
 
         csv = str(tmp_path / "gen.csv")
         rc = main([
-            "generate", "--samples", "150", "--seed", "3", "--hidden", "10",
+            "generate", "--samples", "150", "--seed", "3",
             "--checkpoint", ckpt, "--route-length-m", "500",
             "--out", csv,
         ])
@@ -51,7 +51,7 @@ class TestCommands:
         assert np.all(data["rsrp"] <= -44) and np.all(data["rsrp"] >= -140)
 
         rc = main([
-            "evaluate", "--samples", "150", "--seed", "3", "--hidden", "10",
+            "evaluate", "--samples", "150", "--seed", "3",
             "--checkpoint", ckpt,
         ])
         assert rc == 0
@@ -86,7 +86,7 @@ class TestGenerateCampaign:
         out = str(tmp_path / "campaign.jsonl")
         rc = main([
             "generate-campaign", "--samples", "150", "--seed", "3",
-            "--hidden", "10", "--checkpoint", ckpt,
+            "--checkpoint", ckpt,
             "--routes", "2", "--route-length-m", "400",
             "--out", out,
         ])

@@ -96,7 +96,7 @@ class TestCheckpointedTraining:
         assert rc == 0
         csv = str(tmp_path / "gen.csv")
         rc = main([
-            "generate", *COMMON, "--checkpoint", out,
+            "generate", "--samples", "120", "--seed", "3", "--checkpoint", out,
             "--route-length-m", "500", "--out", csv,
         ])
         assert rc == 0

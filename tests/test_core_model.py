@@ -41,7 +41,7 @@ class TestGeneratorAssembly:
     def test_generate_batch_autoregressive_state(self, batch, trained_gendt):
         gen = trained_gendt.generator
         m = gen.resgen.ar_window
-        out, state, params = gen.generate_batch(batch, collect_params=True)
+        out, state, params = gen.generate_batch(batch)
         assert out.shape == batch.target.shape
         assert state.shape == (batch.n_windows, m, 2)
         # AR state carries the recent residuals; bounded by the safety clip.

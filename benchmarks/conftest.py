@@ -38,8 +38,21 @@ TRAJECTORIES_PER_SCENARIO = 4
 GENDT_EPOCHS = 18
 
 
+#: False under ``--benchmark-disable``: such a run only checks the benches'
+#: assertions, so it leaves the tracked result files as they are.
+WRITE_RESULTS = True
+
+
+def pytest_configure(config) -> None:
+    global WRITE_RESULTS
+    WRITE_RESULTS = not config.getoption("benchmark_disable", default=False)
+
+
 def record_result(name: str, text: str) -> None:
     """Persist a rendered table/figure and echo it to the terminal."""
+    if not WRITE_RESULTS:
+        print(f"\n{text}\n[not saved: --benchmark-disable]")
+        return
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -13,6 +13,9 @@ from ..context.normalize import N_CELL_FEATURES
 from .config import GenDTConfig
 from .features import ModelBatch, recent_values_matrix
 from .networks import AggregationNetwork, GnnNodeNetwork, ResGen
+
+#: ``window_hook(index, out)``: called with each generation window's output.
+WindowHook = Callable[[int, np.ndarray], Optional[np.ndarray]]
 
 
 def _probe_batch(module: "GenDTGenerator", env) -> Tuple[tuple, dict]:
@@ -57,8 +60,8 @@ class GenDTGenerator(nn.Module):
 
     During training ResGen is teacher-forced with the real recent values;
     during generation it consumes its own output autoregressively, carrying
-    state across generation batches (that is what keeps long series
-    coherent, §4.3.3).
+    state from one generation window to the next (that is what keeps long
+    series coherent, §4.3.3).
     """
 
     def __init__(
@@ -128,52 +131,72 @@ class GenDTGenerator(nn.Module):
     def generate_batch(
         self,
         batch: ModelBatch,
-        ar_state: Optional[np.ndarray] = None,
         first_stage_only: bool = False,
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[Dict[str, np.ndarray]]]:
-        """Generate one batch of windows autoregressively.
+        window_hook: Optional[WindowHook] = None,
+    ) -> Tuple[np.ndarray, Optional[Dict[str, np.ndarray]]]:
+        """Generate the B windows of ``batch`` as one trajectory's windows, in order.
+
+        ``G_n`` and ``G_a`` carry nothing from one window to the next, so
+        they run once over all B windows.  One ResGen chain then walks the
+        windows in order: its autoregressive residual state starts at zeros
+        and carries from each window's last step into the next window's
+        first step.
 
         Args:
-            batch: assembled windows (targets ignored).
-            ar_state: [B, m, N_ch] recent *residual* values carried from the
-                previous generation batch (zeros at trajectory start).
+            batch: consecutive generation windows of one trajectory
+                (targets ignored).
             first_stage_only: turn the SRNN noise off, skip ResGen residual
                 sampling and return the ``G_n`` + ``G_a`` base output only:
                 the deterministic middle rung of the serving degradation
                 ladder (:mod:`repro.serving`).
+            window_hook: ``window_hook(index, out)`` is called with each
+                window's [L, N_ch] output after that window's ResGen steps
+                and before the next window's; a returned array replaces the
+                window's output (the residual state is unaffected), and an
+                exception aborts generation.
+
+        Random draws, in order, from ``self.rng`` (R = B * max_cells rows):
+
+        1. ``z0``: normal [R, L, n_noise_node];
+        2. ``G_n`` SRNN uniforms [L, 2, R, H], unless the noise is off;
+        3. ``G_a`` SRNN uniforms [L, 2, B, H], unless the noise is off;
+        4. unless ResGen is skipped, for each window and then each step:
+           ``z1`` normal [1, n_noise_resgen], the dropout mask uniforms
+           [1, resgen_hidden[-1]] when dropout is active, and ``eps``
+           normal [1, N_ch].
 
         Returns:
             (generated [B, L, N_ch] in normalized space,
-             new ar_state [B, m, N_ch],
              ResGen's {"mu": [B, L, N_ch], "sigma": [B, L, N_ch]}, or None
              when ResGen did not run).
         """
         stochastic = False if first_stage_only else None
         with nn.no_grad():
             h_avg = self.h_avg(batch, stochastic=stochastic)
-            base = self.agg_net(h_avg, stochastic=stochastic)
-            base_np = base.numpy()
-            b, length, n_ch = base_np.shape
-            m = self.resgen.ar_window if self.resgen is not None else 1
-            if ar_state is None:
-                ar_state = np.zeros((b, m, n_ch))
+            base = self.agg_net(h_avg, stochastic=stochastic).numpy()
+            n_windows, length, n_ch = base.shape
             if self.resgen is None or first_stage_only:
-                new_state = np.concatenate([ar_state, base_np], axis=1)[:, -m:]
-                return base_np, new_state, None
-
-            output = np.empty_like(base_np)
-            params_mu = np.empty_like(base_np)
-            params_sigma = np.empty_like(base_np)
-            state = ar_state.copy()
-            for t in range(length):
-                env_t = Tensor(batch.env[:, t, :])
-                recent_t = Tensor(state.reshape(b, m * n_ch))
-                residual, mu, log_sigma = self.resgen.sample(env_t, recent_t)
-                residual_np = np.clip(residual.numpy(), -5.0, 5.0)
-                output[:, t] = base_np[:, t] + residual_np
-                params_mu[:, t] = mu.numpy()
-                params_sigma[:, t] = np.exp(log_sigma.numpy())
-                state = np.concatenate(
-                    [state[:, 1:], residual_np[:, None, :]], axis=1
-                )
-            return output, state, {"mu": params_mu, "sigma": params_sigma}
+                output, params = base, None
+            else:
+                output = np.empty_like(base)
+                params = {"mu": np.empty_like(base), "sigma": np.empty_like(base)}
+                m = self.resgen.ar_window
+                state = np.zeros((1, m, n_ch))
+            for w in range(n_windows):
+                if params is not None:
+                    for t in range(length):
+                        env_t = Tensor(batch.env[w : w + 1, t, :])
+                        recent_t = Tensor(state.reshape(1, m * n_ch))
+                        residual, mu, log_sigma = self.resgen.sample(env_t, recent_t)
+                        residual_np = np.clip(residual.numpy(), -5.0, 5.0)
+                        output[w, t] = base[w, t] + residual_np[0]
+                        params["mu"][w, t] = mu.numpy()[0]
+                        params["sigma"][w, t] = np.exp(log_sigma.numpy()[0])
+                        state = np.concatenate(
+                            [state[:, 1:], residual_np[:, None, :]], axis=1
+                        )
+                if window_hook is not None:
+                    replaced = window_hook(w, output[w])
+                    if replaced is not None:
+                        output[w] = replaced
+            return output, params

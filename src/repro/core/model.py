@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from ..runtime.guards import HealthGuard
 from ..runtime.validate import validate_trajectory, validate_windows
 from .config import GenDTConfig
 from .features import ModelBatch, WindowAssembler
-from .generator import GenDTGenerator
+from .generator import GenDTGenerator, WindowHook
 from .training import GenDTTrainer, TrainingHistory, make_minibatches
 
 
@@ -213,19 +213,17 @@ class GenDT:
         self,
         trajectory: Trajectory,
         first_stage_only: bool = False,
-        window_hook: Optional[
-            Callable[[int, np.ndarray], Optional[np.ndarray]]
-        ] = None,
+        window_hook: Optional[WindowHook] = None,
     ) -> Dict[str, np.ndarray]:
         """Generate in normalized space; used internally and by uncertainty.
 
-        ``first_stage_only`` turns the SRNN noise off and skips ResGen
-        residual sampling (deterministic base output).  ``window_hook(index,
-        out)`` is invoked after each generation window with the window index
-        and its [L, N_ch] output; it may return a replacement array, return
-        ``None`` to keep the output, or raise to abort the trajectory.  The
-        serving layer (:mod:`repro.serving`) uses the hook for per-window
-        deadline checks and deterministic fault injection.
+        All generation windows are assembled into one batch and generated by
+        one :meth:`GenDTGenerator.generate_batch` call: the first stage runs
+        over every window at once and ResGen's residual chain walks the
+        windows in order.  ``first_stage_only`` and ``window_hook`` are
+        passed on to that call (see there); the serving layer
+        (:mod:`repro.serving`) uses the hook for per-window deadline checks
+        and deterministic fault injection.
 
         Returns {"series", "mu", "sigma"}, each [T, N_ch]: the series and
         ResGen's Gaussian parameters (NaN where ResGen did not run).
@@ -235,37 +233,26 @@ class GenDT:
         length = self._batch_len(len(trajectory))
         windows = self.context.generation_windows(trajectory, length)
         validate_windows(windows)
-        assembler = self._assembler()
-        m = self.config.resgen_ar_window
-        n_ch = self.kpi_spec.n_channels
-        series = np.full((len(trajectory), n_ch), np.nan)
+        batch = self._assembler().assemble(windows, with_target=False)
+        out, params = self.generator.generate_batch(
+            batch, first_stage_only=first_stage_only, window_hook=window_hook
+        )
+        series = np.full((len(trajectory), self.kpi_spec.n_channels), np.nan)
         mu = np.full_like(series, np.nan)
         sigma = np.full_like(series, np.nan)
-        ar_state = np.zeros((1, m, n_ch))
         for index, window in enumerate(windows):
-            batch = assembler.assemble([window], with_target=False)
-            out, ar_state, params = self.generator.generate_batch(
-                batch, ar_state=ar_state, first_stage_only=first_stage_only
-            )
-            window_out = out[0]
-            if window_hook is not None:
-                replaced = window_hook(index, window_out)
-                if replaced is not None:
-                    window_out = np.asarray(replaced)
             start, stop = window.start, window.start + window.length
-            series[start:stop] = window_out
+            series[start:stop] = out[index]
             if params is not None:
-                mu[start:stop] = params["mu"][0]
-                sigma[start:stop] = params["sigma"][0]
+                mu[start:stop] = params["mu"][index]
+                sigma[start:stop] = params["sigma"][index]
         return {"series": series, "mu": mu, "sigma": sigma}
 
     def generate(
         self,
         trajectory: Trajectory,
         first_stage_only: bool = False,
-        window_hook: Optional[
-            Callable[[int, np.ndarray], Optional[np.ndarray]]
-        ] = None,
+        window_hook: Optional[WindowHook] = None,
     ) -> np.ndarray:
         """Generate the KPI time series for a trajectory, in physical units.
 
@@ -369,7 +356,7 @@ class GenDT:
                 verification or records no model config — always carrying
                 the offending path.
         """
-        _, meta = read_checkpoint(path)
+        arrays, meta = read_checkpoint(path)
         if "config" not in meta:
             raise CheckpointCorruptError(
                 "checkpoint records no model config", path=str(path)
@@ -377,7 +364,7 @@ class GenDT:
         fields = dict(meta["config"])
         fields["resgen_hidden"] = tuple(fields["resgen_hidden"])
         model = cls(region, kpis=meta["kpis"], config=GenDTConfig(**fields), seed=seed)
-        model.load(path)
+        model._restore(path, arrays, meta)
         return model
 
     def load(self, path: Union[str, Path]) -> None:
@@ -395,7 +382,10 @@ class GenDT:
                 model's (message names the checkpoint path), or its weights
                 do not fit this model's config.
         """
-        arrays, meta = read_checkpoint(path)
+        self._restore(path, *read_checkpoint(path))
+
+    def _restore(self, path: Union[str, Path], arrays: Dict, meta: Dict) -> None:
+        """Install a verified checkpoint's weights and normalizers (``load``)."""
         # Validate KPI compatibility before instantiating the generator:
         # a channel-count mismatch would otherwise surface as an opaque
         # weight-shape error from load_state_dict.

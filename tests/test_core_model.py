@@ -38,14 +38,28 @@ class TestGeneratorAssembly:
         assert out["output"].shape == batch.target.shape
         assert "mu" in out and "log_sigma" in out
 
-    def test_generate_batch_autoregressive_state(self, batch, trained_gendt):
+    def test_generate_batch_autoregressive_state(self, batch, trained_gendt, monkeypatch):
         gen = trained_gendt.generator
         m = gen.resgen.ar_window
-        out, state, params = gen.generate_batch(batch)
+        recents = []
+        original = type(gen.resgen).sample
+
+        def recording(env, recent):
+            recents.append(recent.numpy()[0].copy())
+            return original(gen.resgen, env, recent)
+
+        monkeypatch.setattr(gen.resgen, "sample", recording)
+        out, params = gen.generate_batch(batch)
         assert out.shape == batch.target.shape
-        assert state.shape == (batch.n_windows, m, 2)
+        # One chain across the windows: the state starts at zeros and the
+        # first step of window 1 sees window 0's last m residuals.
+        length = batch.length
+        assert len(recents) == batch.n_windows * length
+        assert np.all(recents[0] == 0.0)
+        assert np.any(recents[length] != 0.0)
         # AR state carries the recent residuals; bounded by the safety clip.
-        assert np.all(np.abs(state) <= 5.0)
+        assert np.all(np.abs(np.stack(recents)) <= 5.0)
+        assert recents[length].shape == (m * 2,)
         assert params["mu"].shape == out.shape
         assert np.all(params["sigma"] > 0)
 

@@ -39,6 +39,22 @@ class TestFromCheckpoint:
             == explicit.generate(trajectory).tobytes()
         )
 
+    def test_reads_and_verifies_the_file_once(self, trained_gendt, tmp_path, monkeypatch):
+        import repro.core.model as model_module
+
+        path = tmp_path / "m.gendt"
+        trained_gendt.save(path)
+        reads = []
+
+        def counting_read(*args, **kwargs):
+            reads.append(args)
+            return read_checkpoint(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "read_checkpoint", counting_read)
+        restored = GenDT.from_checkpoint(path, trained_gendt.region)
+        assert len(reads) == 1
+        assert restored.kpi_names == trained_gendt.kpi_names
+
     def test_missing_config_is_corruption_naming_the_path(self, trained_gendt, tmp_path):
         path = tmp_path / "old.gendt"
         trained_gendt.save(path)
